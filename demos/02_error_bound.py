@@ -16,6 +16,7 @@ from graphforge import (
     low_rank_approx,
     modularity_matrix,
 )
+from graphforge.spectral import retained_rank
 
 rng = np.random.default_rng(11)
 m = rng.normal(size=(40, 40))
@@ -28,7 +29,7 @@ for alpha in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
     approx = low_rank_approx(eig, alpha)
     predicted = approx_error_bound(eig, alpha)
     measured = np.linalg.norm(m - approx, 2)
-    kept = int(np.ceil(round(alpha * eig.order, 9)))
+    kept = retained_rank(alpha, eig.order)
     print(f"{alpha:5.2f}   {kept:4d}   {predicted:15.8f}   {measured:20.8f}")
 
 print()

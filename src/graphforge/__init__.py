@@ -14,7 +14,6 @@ from .community import (
     brute_force_max_modularity,
     louvain_maximize,
     modularity,
-    partition_count,
 )
 from .evaluate import (
     AttackConfig,

@@ -26,7 +26,16 @@ from .evaluate import (
     sgf_strategy,
     trajanovski_strategy,
 )
-from .forge import ForgeConfig, edge_probabilities, forge, normalized_entropy
+from .forge import (
+    DEFAULT_LOGISTIC_K,
+    NORMALIZATION_RULES,
+    TRANSFORMATIONS,
+    ForgeConfig,
+    edge_probabilities,
+    forge,
+    normalized_entropy,
+    sample_bernoulli,
+)
 from .generators import (
     GIRVAN_COMMUNITIES,
     GIRVAN_NODES,
@@ -75,6 +84,8 @@ def _parse_alphas(spec: str) -> list[float]:
                 break
             alphas.append(min(a, 1.0))
             k += 1
+        if not alphas:
+            raise ValueError(f"grid {spec!r} holds no alpha (start is above stop)")
         return alphas
     return [float(spec)]
 
@@ -164,21 +175,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    graph = _read_graph(args.input)
+    # P depends on the input and alpha only, so one P per alpha gives the
+    # entropy and every run's sample
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     alphas = _parse_alphas(args.alphas)
-    attack_cfg_base = args.seed_fraction
+    graph = _read_graph(args.input)
     lines = [SWEEP_CSV_HEADER]
     for ai, alpha in enumerate(alphas):
         cfg = ForgeConfig(alpha=alpha, rule=args.rule, logistic_k=args.logistic_k,
-                          transformation=args.transformation, seed=0)
-        entropy = normalized_entropy(edge_probabilities(graph, cfg)).normalized
+                          transformation=args.transformation)
+        probs = edge_probabilities(graph, cfg)
+        entropy = normalized_entropy(probs).normalized
         ratios: list[float] = []
         rates: list[float] = []
         for run in range(args.runs):
-            run_cfg = ForgeConfig(alpha=alpha, rule=args.rule, logistic_k=args.logistic_k,
-                                  transformation=args.transformation,
-                                  seed=_seed_from(args.seed, ai, run, 0))
-            out = forge(graph, run_cfg)
+            out = sample_bernoulli(probs, _seed_from(args.seed, ai, run, 0))
             report = compare(graph, out, _seed_from(args.seed, ai, run, 1))
             if report.modularity_ratio is not None:
                 ratios.append(report.modularity_ratio)
@@ -206,13 +218,21 @@ def _cmd_attack(args) -> int:
 def _apply_config_file(args) -> None:
     """Overlay a JSON experiment-design file onto the parsed args.
 
-    Config values take precedence over flags; unknown keys are rejected.
+    Config values take precedence over flags. The file must hold one object;
+    unknown keys, and values that are not of their flag's type (a float flag
+    also takes a JSON integer), are rejected.
     """
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
+        kind = args.config_types[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         setattr(args, key, value)
 
 
@@ -242,12 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=".", help="directory for output files")
         p.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
+    def forge_options(p):
+        p.add_argument("--rule", choices=NORMALIZATION_RULES, default="truncate")
+        p.add_argument("--logistic-k", type=float, default=DEFAULT_LOGISTIC_K)
+        p.add_argument("--transformation", choices=TRANSFORMATIONS, default="modularity")
+
     p = sub.add_parser("generate", help="forge one graph from an input edge list")
     common(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--rule", choices=["logistic", "truncate", "scale"], default="truncate")
-    p.add_argument("--logistic-k", type=float, default=6.0)
-    p.add_argument("--transformation", choices=["modularity", "adjacency"], default="modularity")
+    forge_options(p)
 
     p = sub.add_parser("eval", help="compare an input graph against a generated one")
     common(p)
@@ -258,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--alphas", required=True, help="decimal or start:stop:step grid")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--rule", choices=["logistic", "truncate", "scale"], default="truncate")
-    p.add_argument("--logistic-k", type=float, default=6.0)
-    p.add_argument("--transformation", choices=["modularity", "adjacency"], default="modularity")
+    forge_options(p)
     p.add_argument("--seed-fraction", type=float, default=0.05)
 
     p = sub.add_parser("attack", help="distance-vector de-anonymization rate")
@@ -275,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: sgf:<alpha>, dcsbm, trajanovski")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--graphs", type=int, default=10, help="graphs per preset dataset")
-    p.add_argument("--rule", choices=["logistic", "truncate", "scale"], default="truncate")
-    p.add_argument("--logistic-k", type=float, default=6.0)
-    p.add_argument("--transformation", choices=["modularity", "adjacency"], default="modularity")
+    forge_options(p)
     p.add_argument("--nodes", type=int, default=None,
                    help="node count for planted (default 128) / lancichinetti (default 1000)")
     p.add_argument("--communities", type=int, default=4)
@@ -287,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-community-size", type=float, default=64.0)
     p.add_argument("--mixing", type=float, default=0.1)
     p.add_argument("--config", help="JSON experiment-design file; its values take precedence")
+    # _apply_config_file checks each config value against its flag's type
+    p.set_defaults(config_types={action.dest: action.type or str for action in p._actions
+                                 if action.dest in _CONFIG_KEYS})
 
     return parser
 

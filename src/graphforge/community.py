@@ -24,6 +24,9 @@ BRUTE_FORCE_MAX_NODES = 12
 # chain refinement costs O(n * m) per pass, so it only runs where that is free
 _REFINE_MAX_NODES = 100
 
+# independent seeded Louvain passes per maximization; the best one is kept
+_RESTARTS = 4
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -54,10 +57,6 @@ class Partition:
                 mapping[lab] = len(mapping)
             assignment.append(mapping[lab])
         return cls(assignment=tuple(assignment))
-
-
-def partition_count(partition: Partition) -> int:
-    return partition.m
 
 
 def modularity(graph: Graph, partition: Partition) -> float:
@@ -224,13 +223,13 @@ def _chain_refine(adj, node_degree, two_m, labels):
     return labels
 
 
-def louvain_maximize(graph: Graph, rng_seed: int, restarts: int = 4):
+def louvain_maximize(graph: Graph, rng_seed: int):
     """Heuristic modularity maximization (multilevel local moves).
 
-    Runs `restarts` independent seeded passes (node visiting order is the
-    only randomness) and keeps the best-scoring partition; deterministic for
-    a fixed (rng_seed, restarts). On small graphs each pass ends with a
-    chain refinement that escapes single-move local optima. Returns
+    Runs _RESTARTS (4) independent seeded passes (node visiting order is
+    the only randomness) and keeps the best-scoring partition;
+    deterministic for a fixed rng_seed. On small graphs each pass ends with
+    a chain refinement that escapes single-move local optima. Returns
     (partition, q_star).
 
     Ties in move gain break toward the lowest community id, and a level
@@ -238,8 +237,6 @@ def louvain_maximize(graph: Graph, rng_seed: int, restarts: int = 4):
     """
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     refine = graph.n <= _REFINE_MAX_NODES
     if refine:
         adj: list[dict[int, float]] = [{} for _ in range(graph.n)]
@@ -248,7 +245,7 @@ def louvain_maximize(graph: Graph, rng_seed: int, restarts: int = 4):
             adj[j][i] = 1.0
         node_degree = [float(len(adj[i])) for i in range(graph.n)]
         two_m = float(sum(node_degree))
-    seeds = np.random.SeedSequence(entropy=int(rng_seed)).spawn(restarts)
+    seeds = np.random.SeedSequence(entropy=int(rng_seed)).spawn(_RESTARTS)
     best_partition = None
     best_q = -np.inf
     for child in seeds:

@@ -10,9 +10,7 @@ number.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,10 +60,6 @@ class MetricsReport:
         return items
 
 
-def _attribute_partition(values: Sequence[str]) -> Partition:
-    return Partition.from_labels(values)
-
-
 def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsReport:
     """All paired metrics for one (input, output) pair.
 
@@ -100,7 +94,7 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsRe
 
     attr_ratios: dict[str, float | None] = {}
     for name, values in input_graph.attributes.items():
-        part = _attribute_partition(values)
+        part = Partition.from_labels(values)
         q_attr_in = modularity(input_graph, part)
         if abs(q_attr_in) < 1e-12:
             attr_ratios[name] = None
@@ -199,70 +193,41 @@ def _aggregate(values: list[float]) -> tuple[float | None, float | None, float |
     return mean, std, Z_99 * std / math.sqrt(arr.size)
 
 
-def max_workers() -> int:
-    """Worker cap for experiment runs, from the SGF_THREADS env var (default 1)."""
-    raw = os.environ.get("SGF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
                    runs_per_pair: int, rng_seed: int) -> list[ExperimentRow]:
     """Run every strategy against every dataset graph and aggregate metrics.
 
     Each (strategy, dataset, graph, run) cell owns a sub-seed derived from
-    the master seed and its indices, so serial and thread-parallel schedules
-    (capped by SGF_THREADS) produce identical tables. Failed runs are
-    excluded from aggregates and surface as a `failures` row.
+    the master seed and its indices. Failed runs are excluded from
+    aggregates and surface as a `failures` row.
     """
     if runs_per_pair < 2:
         raise ValueError("runs_per_pair must be >= 2")
 
-    jobs = []
-    for si, strategy in enumerate(strategies):
-        for di, dataset in enumerate(datasets):
-            for gi, graph in enumerate(dataset.graphs):
-                for run in range(runs_per_pair):
-                    jobs.append((si, di, gi, run, graph))
-
-    def execute(job):
-        si, di, gi, run, graph = job
-        strategy = strategies[si]
-        gen_seed = _seed_from(rng_seed, si, di, gi, run, 0)
-        cmp_seed = _seed_from(rng_seed, si, di, gi, run, 1)
-        try:
-            output = strategy.make(graph, gen_seed)
-            return si, di, compare(graph, output, cmp_seed), None
-        except Exception as exc:  # noqa: BLE001 - strategy failures become rows
-            return si, di, None, f"{type(exc).__name__}: {exc}"
-
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(execute, jobs))
-    else:
-        results = [execute(job) for job in jobs]
-
     rows: list[ExperimentRow] = []
     for si, strategy in enumerate(strategies):
         for di, dataset in enumerate(datasets):
-            cell = [r for r in results if r[0] == si and r[1] == di]
-            reports = [r[2] for r in cell if r[2] is not None]
-            failures = sum(1 for r in cell if r[2] is None)
             metric_values: dict[str, list[float]] = {}
-            for report in reports:
-                for metric, value in report.as_items():
-                    if value is not None:
-                        metric_values.setdefault(metric, []).append(value)
+            failures = 0
+            for gi, graph in enumerate(dataset.graphs):
+                for run in range(runs_per_pair):
+                    try:
+                        output = strategy.make(graph, _seed_from(rng_seed, si, di, gi, run, 0))
+                        report = compare(graph, output, _seed_from(rng_seed, si, di, gi, run, 1))
+                    except Exception:  # noqa: BLE001 - strategy failures become rows
+                        failures += 1
+                        continue
+                    for metric, value in report.as_items():
+                        if value is not None:
+                            metric_values.setdefault(metric, []).append(value)
             for metric in sorted(metric_values):
                 mean, std, ci = _aggregate(metric_values[metric])
                 rows.append(ExperimentRow(strategy.name, dataset.name, metric,
                                           mean, std, ci, len(metric_values[metric])))
             if failures:
                 rows.append(ExperimentRow(strategy.name, dataset.name, "failures",
-                                          float(failures), None, None, len(cell)))
+                                          float(failures), None, None,
+                                          len(dataset.graphs) * runs_per_pair))
     return rows
 
 
@@ -382,7 +347,8 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
         seed_nodes = sorted(set(int(s) for s in seeds))
         if any(s < 0 or s >= n for s in seed_nodes):
             raise ValueError("seed node out of range")
-    non_seeds = [v for v in range(n) if v not in set(seed_nodes)]
+    seed_set = set(seed_nodes)
+    non_seeds = [v for v in range(n) if v not in seed_set]
     if not non_seeds:
         return 1.0
 

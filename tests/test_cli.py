@@ -101,6 +101,17 @@ def test_sweep_csv_and_entropy_trend(tmp_path):
     assert rho < -0.9  # entropy falls as alpha rises
 
 
+@pytest.mark.parametrize("flags", [["--alphas", "0.5", "--runs", "0"],
+                                   ["--alphas", "0.5", "--runs", "-1"],
+                                   ["--alphas", "0.5:0.1:0.1"]])
+def test_sweep_rejects_no_runs_and_empty_grid(tmp_path, clique_file, capsys, flags):
+    path, _ = clique_file
+    rc = dispatch(["sweep", "--input", str(path), "--output-dir", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_bench_subcommand_and_determinism(tmp_path):
     args = ["bench", "--preset", "planted", "--nodes", "32", "--communities", "2",
             "--p-in", "0.5", "--p-out", "0.05", "--graphs", "2", "--runs", "2",
@@ -117,7 +128,7 @@ def test_bench_subcommand_and_determinism(tmp_path):
     assert strategies == {"sgf:0.9", "dcsbm"}
 
 
-def test_bench_config_file(tmp_path):
+def test_bench_config_file(tmp_path, capsys):
     cfg = {"preset": "planted", "nodes": 32, "communities": 2, "p_in": 0.5,
            "p_out": 0.05, "graphs": 2, "runs": 2, "strategies": "sgf:1",
            "seed": 4, "output_dir": str(tmp_path)}
@@ -127,9 +138,11 @@ def test_bench_config_file(tmp_path):
     assert rc == 0
     assert (tmp_path / "bench_planted.csv").exists()
 
-    bad = dict(cfg, bogus=1)
-    cfg_path.write_text(json.dumps(bad))
-    assert dispatch(["bench", "--config", str(cfg_path)]) == 2
+    for bad in (dict(cfg, bogus=1), dict(cfg, runs="3"), dict(cfg, strategies=5),
+                dict(cfg, p_in=True), dict(cfg, nodes=32.0), [cfg], "planted"):
+        cfg_path.write_text(json.dumps(bad))
+        assert dispatch(["bench", "--config", str(cfg_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

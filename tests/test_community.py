@@ -8,7 +8,6 @@ from graphforge.community import (
     brute_force_max_modularity,
     louvain_maximize,
     modularity,
-    partition_count,
 )
 from graphforge.graph import Graph, degree_vector
 
@@ -102,9 +101,9 @@ def test_modularity_errors():
 def test_partition_validation_and_count():
     with pytest.raises(ValueError, match="dense"):
         Partition((0, 2))
-    assert partition_count(Partition((0, 0, 1, 1))) == 2
-    assert partition_count(Partition((0, 1, 2, 3))) == 4
-    assert partition_count(Partition((0,) * 7)) == 1
+    assert Partition((0, 0, 1, 1)).m == 2
+    assert Partition((0, 1, 2, 3)).m == 4
+    assert Partition((0,) * 7).m == 1
     assert Partition.from_labels(["b", "a", "b"]).assignment == (0, 1, 0)
 
 

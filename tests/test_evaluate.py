@@ -128,15 +128,6 @@ def test_run_experiment_deterministic(two_k4):
     assert experiment_csv(r1) == experiment_csv(r2)
 
 
-def test_run_experiment_threaded_matches_serial(two_k4, monkeypatch):
-    ds = Dataset("d", (two_k4, disjoint_cliques(5, 5)))
-    strategies = [sgf_strategy(0.8)]
-    serial = run_experiment(strategies, [ds], 3, rng_seed=23)
-    monkeypatch.setenv("SGF_THREADS", "4")
-    threaded = run_experiment(strategies, [ds], 3, rng_seed=23)
-    assert experiment_csv(serial) == experiment_csv(threaded)
-
-
 def test_baseline_strategies_produce_graphs(two_k4):
     out = dcsbm_strategy().make(two_k4, 5)
     assert out.n == two_k4.n
