@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import Partition, modularity
-from .graph import Graph
+from .graph import Graph, degree_vector
 
 EDGE_RETRY_LIMIT = 100
 # consecutive failed rewiring candidates before declaring the target unreachable
@@ -323,19 +323,15 @@ def dcsbm_config_from(graph: Graph, partition: Partition) -> DcsbmConfig:
     """Extract the block-model inputs (degrees, groups, block edge counts)."""
     if len(partition.assignment) != graph.n:
         raise ValueError("partition length must match graph node count")
-    labels = partition.assignment
+    labels = np.asarray(partition.assignment, dtype=np.int64)
     m = partition.m
-    block = np.zeros((m, m), dtype=int)
-    degrees = [0] * graph.n
-    for i, j in graph.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-        ci, cj = labels[i], labels[j]
-        block[ci, cj] += 1
-        if ci != cj:
-            block[cj, ci] += 1
+    # counts[r, s]: edges stored (i, j) with i in r and j in s; an edge
+    # between two groups counts once in each direction, one inside a group once
+    counts = np.bincount(labels[graph.rows] * m + labels[graph.cols],
+                         minlength=m * m).reshape(m, m)
+    block = counts + counts.T - np.diag(np.diag(counts))
     return DcsbmConfig(
-        degrees=tuple(degrees),
+        degrees=tuple(degree_vector(graph).tolist()),
         partition=partition,
         block_edges=tuple(tuple(int(x) for x in row) for row in block),
     )

@@ -70,7 +70,7 @@ def modularity(graph: Graph, partition: Partition) -> float:
     if total == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
     labels = np.asarray(partition.assignment)
-    intra_ordered = 2 * sum(1 for i, j in graph.edges if labels[i] == labels[j])
+    intra_ordered = 2 * int(np.count_nonzero(labels[graph.rows] == labels[graph.cols]))
     comm_degree = np.bincount(labels, weights=degrees.astype(float), minlength=partition.m)
     return float(intra_ordered / total - np.sum(comm_degree**2) / total**2)
 
@@ -132,14 +132,9 @@ def _aggregate(adj, node_degree, comm):
     return new_adj, new_degree, dense
 
 
-def _louvain_single(graph: Graph, rng) -> list[int]:
-    n = graph.n
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for i, j in graph.edges:
-        adj[i][j] = 1.0
-        adj[j][i] = 1.0
-    node_degree = [float(len(adj[i])) for i in range(n)]
-    two_m = float(sum(node_degree))
+def _louvain_single(adj, node_degree, two_m, rng) -> list[int]:
+    """One seeded multilevel pass; reads adj and node_degree without changing them."""
+    n = len(adj)
     labels = list(range(n))
     while True:
         comm = list(range(len(adj)))
@@ -238,18 +233,14 @@ def louvain_maximize(graph: Graph, rng_seed: int):
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
     refine = graph.n <= _REFINE_MAX_NODES
-    if refine:
-        adj: list[dict[int, float]] = [{} for _ in range(graph.n)]
-        for i, j in graph.edges:
-            adj[i][j] = 1.0
-            adj[j][i] = 1.0
-        node_degree = [float(len(adj[i])) for i in range(graph.n)]
-        two_m = float(sum(node_degree))
+    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbor_lists()]
+    node_degree = degree_vector(graph).astype(float).tolist()
+    two_m = float(sum(node_degree))
     seeds = np.random.SeedSequence(entropy=int(rng_seed)).spawn(_RESTARTS)
     best_partition = None
     best_q = -np.inf
     for child in seeds:
-        labels = _louvain_single(graph, np.random.default_rng(child))
+        labels = _louvain_single(adj, node_degree, two_m, np.random.default_rng(child))
         if refine:
             labels = _chain_refine(adj, node_degree, two_m, labels)
         partition = Partition.from_labels(labels)
@@ -291,7 +282,7 @@ def brute_force_max_modularity(graph: Graph):
     total = int(degrees.sum())
     if total == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
-    edges = list(graph.edges)
+    edges = graph.sorted_edges()
     k = degrees.astype(float)
     best_labels = None
     best_q = -np.inf

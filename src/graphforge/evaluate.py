@@ -10,17 +10,17 @@ number.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import cdist
 
 from . import baselines, forge as forge_mod
 from .community import Partition, louvain_maximize, modularity
 from .forge import ForgeConfig, edge_probabilities, normalize, normalized_entropy
-from .graph import Graph, average_clustering, degree_vector
+from .graph import Graph, average_clustering, degree_vector, require_dense_budget
 from .spectral import eigendecompose, low_rank_approx, spectral_norm
 
 # z-score for two-sided 99% confidence under the normal approximation
@@ -306,16 +306,14 @@ class AttackConfig:
             raise ValueError(f"seed_fraction must lie in (0, 1], got {self.seed_fraction}")
 
 
-def _bfs_distances(nbrs: list[set[int]], source: int, n: int, sentinel: int) -> np.ndarray:
-    dist = np.full(n, sentinel, dtype=float)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if dist[v] == sentinel:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def _seed_distances(graph: Graph, seed_nodes: Sequence[int]) -> np.ndarray:
+    """Hop distances from each seed (rows) to every node (columns).
+
+    Unreachable pairs get the sentinel n, larger than any true distance.
+    """
+    # the CSR holds both directions of every edge, so a directed search is exact
+    dist = shortest_path(graph.csr, directed=True, unweighted=True, indices=seed_nodes)
+    dist[np.isinf(dist)] = graph.n
     return dist
 
 
@@ -351,12 +349,15 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
     non_seeds = [v for v in range(n) if v not in seed_set]
     if not non_seeds:
         return 1.0
+    if not seed_nodes:
+        raise ValueError("the attack needs at least one seed node")
+    width = len(non_seeds)
+    # two seed-distance tables, then the pair distances and their argsort
+    require_dense_budget(n, 8 * (2 * len(seed_nodes) * n + 2 * width * width),
+                         "the distance-vector attack")
 
-    sigs = []
-    for graph in (original, anonymized):
-        nbrs = graph.neighbor_sets()
-        dist_rows = [_bfs_distances(nbrs, s, n, sentinel=n) for s in seed_nodes]
-        sigs.append(np.stack(dist_rows, axis=1)[non_seeds])
+    sigs = [_seed_distances(graph, seed_nodes).T[non_seeds]
+            for graph in (original, anonymized)]
     pair_dist = cdist(sigs[0], sigs[1])
 
     order = np.argsort(pair_dist.ravel(), kind="stable")
@@ -364,7 +365,6 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
     used_right = np.zeros(len(non_seeds), dtype=bool)
     hits = 0
     matched = 0
-    width = len(non_seeds)
     for flat in order:
         i, j = divmod(int(flat), width)
         if used_left[i] or used_right[j]:

@@ -1,45 +1,89 @@
 """Simple undirected graphs: representation, degrees, clustering, and text I/O.
 
 Nodes are dense integers 0..n-1 so that every matrix in the pipeline stays
-index-aligned with the graph. Graphs are immutable after construction and
-safe to share between threads.
+index-aligned with the graph. A graph stores its edges as two sorted,
+deduplicated int64 arrays with rows < cols; those arrays are read-only, and
+everything derived from them (degrees, the sparse adjacency, the edge set)
+is computed once on first use from those arrays alone. Graphs are therefore
+immutable after construction and safe to share between threads: a cache
+filled twice by racing threads holds the same value either way.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 # Category assigned to nodes missing from an attribute file.
 MISSING_VALUE = "__missing__"
 
 
-@dataclass(frozen=True)
+def require_dense_budget(n: int, nbytes: int, what: str) -> None:
+    """Refuse work whose dense arrays would not fit in physical memory.
+
+    Called before anything of size n^2 is allocated, so that an oversized
+    input fails with a ValueError instead of exhausting memory.
+    """
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > budget:
+        raise ValueError(
+            f"{what} at n = {n} needs an estimated {nbytes} bytes of dense arrays, "
+            f"more than the {budget} bytes of physical memory"
+        )
+
+
+def _edge_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"edge endpoint arrays must be 1-D, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with optional categorical node attributes.
 
-    `edges` holds unordered pairs stored as (i, j) with i < j. Attribute
-    vectors, when present, have length exactly `n`; values are opaque
-    categories compared only by equality.
+    Edge k joins rows[k] < cols[k]; the pairs are sorted and unique. `edges`
+    is the same set as a frozenset of (i, j) tuples. Attribute vectors, when
+    present, have length exactly `n`; values are opaque categories compared
+    only by equality. Two graphs are equal when n, the edges and the
+    attributes are.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    rows: np.ndarray
+    cols: np.ndarray
     attributes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"node count must be non-negative, got {self.n}")
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (i < j):
-                raise ValueError(f"edge ({i}, {j}) not stored with i < j")
-            if i < 0 or j >= self.n:
-                raise ValueError(f"edge ({i}, {j}) outside node range [0, {self.n})")
+        rows, cols = _edge_array(self.rows), _edge_array(self.cols)
+        if rows.shape != cols.shape:
+            raise ValueError(f"{rows.size} row endpoints for {cols.size} column endpoints")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        bad = np.flatnonzero(rows >= cols)
+        if bad.size:
+            i, j = int(rows[bad[0]]), int(cols[bad[0]])
+            raise ValueError(f"self-loop on node {i}" if i == j
+                             else f"edge ({i}, {j}) not stored with i < j")
+        bad = np.flatnonzero((rows < 0) | (cols >= self.n))
+        if bad.size:
+            i, j = int(rows[bad[0]]), int(cols[bad[0]])
+            raise ValueError(f"edge ({i}, {j}) outside node range [0, {self.n})")
+        step_r, step_c = np.diff(rows), np.diff(cols)
+        bad = np.flatnonzero((step_r < 0) | ((step_r == 0) & (step_c <= 0)))
+        if bad.size:
+            i, j = int(rows[bad[0] + 1]), int(cols[bad[0] + 1])
+            raise ValueError(f"edge ({i}, {j}) out of sorted order or repeated")
         for name, values in self.attributes.items():
             if len(values) != self.n:
                 raise ValueError(
@@ -48,50 +92,83 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges, attributes=None):
-        """Build a graph from any iterable of (i, j) pairs, normalizing orientation."""
-        canon = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            canon.add((i, j) if i < j else (j, i))
+        """Build a graph from any iterable of (i, j) pairs, normalizing orientation.
+
+        Reversed and repeated pairs collapse to one edge.
+        """
+        pairs = np.array(list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         attrs = {k: tuple(v) for k, v in (attributes or {}).items()}
-        return cls(n=n, edges=frozenset(canon), attributes=attrs)
+        return cls(n=n, rows=lo[keep], cols=hi[keep], attributes=attrs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and self.attributes == other.attributes)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(self.rows.size)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(zip(self.rows.tolist(), self.cols.tolist()))
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        degrees = np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.n)
+        degrees = degrees.astype(np.int64, copy=False)
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
+    def csr(self) -> sparse.csr_array:
+        """Symmetric 0/1 adjacency as a float64 CSR array, sorted indices per row."""
+        both_r = np.concatenate([self.rows, self.cols])
+        both_c = np.concatenate([self.cols, self.rows])
+        data = np.ones(both_r.size)
+        return sparse.csr_array((data, (both_r, both_c)), shape=(self.n, self.n))
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix with zero diagonal."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        a[self.rows, self.cols] = 1.0
+        a[self.cols, self.rows] = 1.0
         return a
 
+    def neighbor_lists(self) -> list[list[int]]:
+        """Ascending neighbour ids of every node, read off the CSR."""
+        indptr, indices = self.csr.indptr.tolist(), self.csr.indices.tolist()
+        return [indices[indptr[v]:indptr[v + 1]] for v in range(self.n)]
+
     def neighbor_sets(self) -> list[set[int]]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return nbrs
+        return [set(nbrs) for nbrs in self.neighbor_lists()]
 
     def with_attributes(self, attributes) -> "Graph":
         """Copy of this graph with the given attribute map (replaces any existing)."""
-        return Graph.from_edges(self.n, self.edges, attributes)
+        attrs = {k: tuple(v) for k, v in (attributes or {}).items()}
+        return Graph(self.n, self.rows, self.cols, attrs)
 
 
 def degree_vector(graph: Graph) -> np.ndarray:
-    """Per-node degree counts; the sum always equals 2 * num_edges."""
-    degrees = np.zeros(graph.n, dtype=np.int64)
-    for i, j in graph.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    return degrees
+    """Per-node degree counts; the sum always equals 2 * num_edges.
+
+    Returns the graph's cached read-only array.
+    """
+    return graph._degrees
 
 
 def average_clustering(graph: Graph) -> float:
@@ -102,17 +179,16 @@ def average_clustering(graph: Graph) -> float:
     """
     if graph.n == 0:
         return 0.0
-    nbrs = graph.neighbor_sets()
+    a = graph.csr
+    # row v of (A @ A) * A sums, over neighbours u, the common neighbours of
+    # v and u: twice the triangles through v, an exact integer
+    links = (a @ a).multiply(a).sum(axis=1).astype(np.int64).tolist()
     total = 0.0
-    for v in range(graph.n):
-        k = len(nbrs[v])
-        if k < 2:
-            continue
-        links = 0
-        for u in nbrs[v]:
-            links += len(nbrs[v] & nbrs[u])
-        # each triangle through v counted twice in the loop above
-        total += links / (k * (k - 1))
+    # sequential sum in node order, so the float result does not depend on
+    # numpy's pairwise summation
+    for link, k in zip(links, degree_vector(graph).tolist()):
+        if k >= 2:
+            total += link / (k * (k - 1))
     return total / graph.n
 
 
@@ -125,7 +201,7 @@ def load_edge_list(text: str) -> Graph:
     lines collapse to a single undirected edge.
     """
     declared_n = None
-    edges = set()
+    edges = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -151,7 +227,7 @@ def load_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: negative node id in {raw!r}")
         if i == j:
             raise ValueError(f"line {lineno}: self-loop on node {i}")
-        edges.add((i, j) if i < j else (j, i))
+        edges.append((i, j))
         max_id = max(max_id, i, j)
     n = (max_id + 1) if declared_n is None else declared_n
     if max_id >= n:

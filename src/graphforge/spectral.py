@@ -69,7 +69,11 @@ def modularity_matrix(graph: Graph) -> np.ndarray:
 
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition with modulus-descending ordering."""
-    m = _require_symmetric(matrix, "eigendecompose input")
+    return _eigendecompose(_require_symmetric(matrix, "eigendecompose input"))
+
+
+def _eigendecompose(m: np.ndarray) -> EigenDecomposition:
+    """eigendecompose for a float matrix the caller built symmetric."""
     values, vectors = np.linalg.eigh(m)
     n = values.shape[0]
     # eigh returns ascending values; re-sort by (|lambda| desc, value desc, index)

@@ -157,3 +157,21 @@ def test_unknown_strategy_reports_error(tmp_path, capsys):
                    "--runs", "2", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--alpha", "0.5"],
+    ["attack", "--generated", "{input}"],
+])
+def test_oversized_dense_work_fails_fast(tmp_path, capsys, command):
+    # n^2 float64 arrays at n = 200000 are hundreds of GB: the program must
+    # refuse before allocating any of them
+    path = tmp_path / "huge.el"
+    path.write_text("#nodes 200000\n0 1\n")
+    argv = [arg.format(input=path) for arg in command]
+    rc = dispatch([argv[0], "--input", str(path), *argv[1:], "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "n = 200000" in err and "bytes" in err
+    assert not (tmp_path / "generated.el").exists()

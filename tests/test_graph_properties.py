@@ -1,0 +1,144 @@
+"""Property tests: the array-backed Graph against plain-Python references.
+
+Random small edge lists come with shuffled orientation and repeated pairs;
+each array-based result is compared exactly with a loop over tuples.
+"""
+
+from collections import Counter, deque
+from itertools import combinations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphforge.evaluate import _seed_distances
+from graphforge.graph import (
+    Graph,
+    average_clustering,
+    degree_vector,
+    load_edge_list,
+    write_edge_list,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def edge_lists(draw, max_n=14):
+    """(n, pairs): i != j, either orientation, duplicates allowed."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
+def canonical(pairs) -> set[tuple[int, int]]:
+    return {(min(i, j), max(i, j)) for i, j in pairs}
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_from_edges_matches_set_of_tuples(case, rnd):
+    n, pairs = case
+    g = Graph.from_edges(n, pairs)
+    expected = canonical(pairs)
+    assert g.edges == expected
+    assert g.sorted_edges() == sorted(expected)
+    assert g.num_edges == len(expected)
+    assert not g.rows.flags.writeable and not g.cols.flags.writeable
+
+    flipped = [(j, i) if rnd.random() < 0.5 else (i, j) for i, j in expected]
+    rnd.shuffle(flipped)
+    assert Graph.from_edges(n, flipped + flipped[:2]) == g
+    assert Graph.from_edges(n + 1, pairs) != g
+    if n and expected:
+        assert Graph.from_edges(n, sorted(expected)[1:]) != g
+        assert g.with_attributes({"x": ["a"] * n}) != g
+
+    nbrs = [set() for _ in range(n)]
+    for i, j in expected:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    assert g.neighbor_sets() == nbrs
+    assert np.array_equal(g.csr.toarray(), g.adjacency())
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists())
+def test_degrees_match_edge_count(case):
+    n, pairs = case
+    g = Graph.from_edges(n, pairs)
+    counts = Counter(v for edge in canonical(pairs) for v in edge)
+    degrees = degree_vector(g)
+    assert degrees.tolist() == [counts[v] for v in range(n)]
+    assert int(degrees.sum()) == 2 * g.num_edges
+    assert not degrees.flags.writeable
+
+
+def clustering_reference(n: int, edges: set[tuple[int, int]]) -> float:
+    """Brute-force triangle count, then the per-node ratios summed in node order."""
+    if n == 0:
+        return 0.0
+    triangles = [0] * n
+    for a, b, c in combinations(range(n), 3):
+        if (a, b) in edges and (b, c) in edges and (a, c) in edges:
+            triangles[a] += 1
+            triangles[b] += 1
+            triangles[c] += 1
+    degree = Counter(v for edge in edges for v in edge)
+    total = 0.0
+    for v in range(n):
+        k = degree[v]
+        if k >= 2:
+            total += 2 * triangles[v] / (k * (k - 1))
+    return total / n
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists())
+def test_average_clustering_matches_triangle_count_exactly(case):
+    n, pairs = case
+    g = Graph.from_edges(n, pairs)
+    assert average_clustering(g) == clustering_reference(n, canonical(pairs))
+
+
+def bfs_distances(nbrs: list[set[int]], source: int, n: int, sentinel: int) -> np.ndarray:
+    dist = np.full(n, sentinel, dtype=float)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if dist[v] == sentinel:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists().filter(lambda case: case[0] > 0), st.data())
+def test_seed_distances_match_python_bfs(case, data):
+    n, pairs = case
+    g = Graph.from_edges(n, pairs)
+    seeds = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    nbrs = g.neighbor_sets()
+    expected = np.stack([bfs_distances(nbrs, s, n, sentinel=n) for s in seeds])
+    assert np.array_equal(_seed_distances(g, seeds), expected)
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_edge_list_round_trip(case, rnd):
+    n, pairs = case
+    g = Graph.from_edges(n, pairs)
+    text = write_edge_list(g)
+    assert load_edge_list(text) == g
+    # the reader takes any line order, orientation and repetition
+    lines = text.splitlines()
+    body = [f"{j} {i}" if rnd.random() < 0.5 else line
+            for line in lines[1:] for i, j in [line.split()]]
+    body += body[:3]
+    rnd.shuffle(body)
+    assert load_edge_list("\n".join([lines[0], *body])) == g
