@@ -32,8 +32,10 @@ from .evaluate import (
 from .forge import (
     EntropyReport,
     ForgeConfig,
+    SpectralModel,
     back_transform,
     edge_probabilities,
+    fit,
     forge,
     normalize,
     normalized_entropy,

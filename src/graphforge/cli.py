@@ -31,10 +31,10 @@ from .forge import (
     NORMALIZATION_RULES,
     TRANSFORMATIONS,
     ForgeConfig,
-    edge_probabilities,
+    _normalized_entropy,
+    _sample_bernoulli,
+    fit,
     forge,
-    normalized_entropy,
-    sample_bernoulli,
 )
 from .generators import (
     GIRVAN_COMMUNITIES,
@@ -175,22 +175,24 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # P depends on the input and alpha only, so one P per alpha gives the
-    # entropy and every run's sample
+    # the decomposition depends on the input only and P on the input and
+    # alpha, so one fit serves the grid and one P per alpha gives the entropy
+    # and every run's sample
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
     alphas = _parse_alphas(args.alphas)
     graph = _read_graph(args.input)
+    configs = [ForgeConfig(alpha=alpha, rule=args.rule, logistic_k=args.logistic_k,
+                           transformation=args.transformation) for alpha in alphas]
+    model = fit(graph, args.transformation)
     lines = [SWEEP_CSV_HEADER]
-    for ai, alpha in enumerate(alphas):
-        cfg = ForgeConfig(alpha=alpha, rule=args.rule, logistic_k=args.logistic_k,
-                          transformation=args.transformation)
-        probs = edge_probabilities(graph, cfg)
-        entropy = normalized_entropy(probs).normalized
+    for ai, cfg in enumerate(configs):
+        probs = model.probabilities(cfg.alpha, cfg.rule, cfg.logistic_k)
+        entropy = _normalized_entropy(probs).normalized
         ratios: list[float] = []
         rates: list[float] = []
         for run in range(args.runs):
-            out = sample_bernoulli(probs, _seed_from(args.seed, ai, run, 0))
+            out = _sample_bernoulli(probs, _seed_from(args.seed, ai, run, 0))
             report = compare(graph, out, _seed_from(args.seed, ai, run, 1))
             if report.modularity_ratio is not None:
                 ratios.append(report.modularity_ratio)
@@ -199,7 +201,7 @@ def _cmd_sweep(args) -> int:
                 seed=_seed_from(args.seed, ai, run, 2))))
         ratio = sum(ratios) / len(ratios) if ratios else None
         rate = sum(rates) / len(rates)
-        lines.append(f"{alpha:g},{evaluate._fmt(ratio)},{evaluate._fmt(entropy)},{evaluate._fmt(rate)}")
+        lines.append(f"{cfg.alpha:g},{evaluate._fmt(ratio)},{evaluate._fmt(entropy)},{evaluate._fmt(rate)}")
     target = _write_text(args.output_dir, "sweep.csv", "\n".join(lines) + "\n")
     print(target)
     return 0

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import Graph, degree_vector, require_dense_budget
 from .spectral import (
     SYMMETRY_ATOL,
+    EigenDecomposition,
     _eigendecompose,
     _require_symmetric,
     low_rank_approx,
@@ -28,9 +29,10 @@ TRANSFORMATIONS = ("modularity", "adjacency")
 
 DEFAULT_LOGISTIC_K = 6.0
 
-# n x n float64 arrays alive at once at the peak of edge_probabilities
-# (measured 6.1 with tracemalloc at n = 1000 and 2000, for every rule)
-_FORGE_DENSE_ARRAYS = 6
+# n x n float64 arrays alive at once at the peak of fit plus probabilities
+# (tracemalloc peak 5.0-5.13 at n = 1000 and 2000 for every rule; the scale
+# rule's boolean off-diagonal mask is the 0.13)
+_FORGE_DENSE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,11 @@ def sample_bernoulli(prob_matrix: np.ndarray, seed: int) -> Graph:
     Reproducibility contract: one uniform draw per dyad, consumed in
     row-major order over j > i, from a PCG64 generator seeded with `seed`.
     """
-    p = _check_probability_matrix(prob_matrix)
+    return _sample_bernoulli(_check_probability_matrix(prob_matrix), seed)
+
+
+def _sample_bernoulli(p: np.ndarray, seed: int) -> Graph:
+    """sample_bernoulli for a P that `_normalize` built."""
     n = p.shape[0]
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
@@ -170,7 +176,11 @@ def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
 
 def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
     """Entropy of the graph distribution defined by a probability matrix."""
-    p = _check_probability_matrix(prob_matrix)
+    return _normalized_entropy(_check_probability_matrix(prob_matrix))
+
+
+def _normalized_entropy(p: np.ndarray) -> EntropyReport:
+    """normalized_entropy for a P that `_normalize` built."""
     n = p.shape[0]
     dyads = n * (n - 1) // 2
     if dyads == 0:
@@ -193,26 +203,53 @@ def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
     )
 
 
+@dataclass(frozen=True)
+class SpectralModel:
+    """The eigendecomposition of one input, reusable across alphas and rules.
+
+    Built by `fit`. `probabilities(alpha, rule, logistic_k)` keeps the
+    ceil(alpha * n) leading eigenterms, transforms back and normalizes; it
+    equals `edge_probabilities` for the same graph and knobs.
+    """
+
+    degrees: np.ndarray
+    eig: EigenDecomposition
+    transformation: str
+
+    def probabilities(self, alpha: float, rule: str = "truncate",
+                      logistic_k: float = DEFAULT_LOGISTIC_K) -> np.ndarray:
+        """The probability matrix at one alpha: exactly symmetric, in [0, 1],
+        zero on the diagonal."""
+        m_tilde = low_rank_approx(self.eig, alpha)
+        a_tilde = back_transform(m_tilde, self.degrees, self.transformation)
+        return _normalize(a_tilde, rule, logistic_k)
+
+
+def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
+    """Transform the graph and decompose the result once.
+
+    M is symmetric by construction, so its symmetry is not checked; M itself
+    is released once its eigenpairs are taken.
+    """
+    if transformation not in TRANSFORMATIONS:
+        raise ValueError(f"unknown transformation {transformation!r}")
+    n = graph.n
+    require_dense_budget(n, 8 * n * n * _FORGE_DENSE_ARRAYS, "forging a graph")
+    if transformation == "modularity":
+        m = modularity_matrix(graph)  # raises on edgeless input
+    else:
+        m = graph.adjacency()
+    return SpectralModel(degree_vector(graph), _eigendecompose(m), transformation)
+
+
 def edge_probabilities(graph: Graph, config: ForgeConfig) -> np.ndarray:
     """The probability matrix the pipeline samples from, without sampling.
 
     `forge(graph, config)` is distributed Bernoulli(edge_probabilities(graph,
     config)) dyad by dyad.
-
-    M is symmetric by construction, so its symmetry is not checked here;
-    `forge` checks P once, in `sample_bernoulli`.
     """
-    n = graph.n
-    require_dense_budget(n, 8 * n * n * _FORGE_DENSE_ARRAYS, "forging a graph")
-    degrees = degree_vector(graph)
-    if config.transformation == "modularity":
-        m = modularity_matrix(graph)  # raises on edgeless input
-    else:
-        m = graph.adjacency()
-    eig = _eigendecompose(m)
-    m_tilde = low_rank_approx(eig, config.alpha)
-    a_tilde = back_transform(m_tilde, degrees, config.transformation)
-    return _normalize(a_tilde, config.rule, config.logistic_k)
+    model = fit(graph, config.transformation)
+    return model.probabilities(config.alpha, config.rule, config.logistic_k)
 
 
 def forge(graph: Graph, config: ForgeConfig) -> Graph:
@@ -221,8 +258,7 @@ def forge(graph: Graph, config: ForgeConfig) -> Graph:
     Output has the same node count and inherits the input's node attributes
     by index. Same config (including seed) yields the same graph.
     """
-    probs = edge_probabilities(graph, config)
-    sampled = sample_bernoulli(probs, config.seed)
+    sampled = _sample_bernoulli(edge_probabilities(graph, config), config.seed)
     if graph.attributes:
         sampled = sampled.with_attributes(graph.attributes)
     return sampled

@@ -77,13 +77,12 @@ def _eigendecompose(m: np.ndarray) -> EigenDecomposition:
     values, vectors = np.linalg.eigh(m)
     n = values.shape[0]
     # eigh returns ascending values; re-sort by (|lambda| desc, value desc, index)
-    order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
+    order = np.lexsort((np.arange(n), -values, -np.abs(values)))
     values = values[order]
     vectors = vectors[:, order]
-    for i in range(n):
-        pivot = int(np.argmax(np.abs(vectors[:, i])))
-        if vectors[pivot, i] < 0:
-            vectors[:, i] = -vectors[:, i]
+    if n:  # argmax refuses the empty axis of a 0 x 0 matrix
+        pivot = np.argmax(np.abs(vectors), axis=0)
+        vectors[:, vectors[pivot, np.arange(n)] < 0] *= -1.0
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
