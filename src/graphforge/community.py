@@ -9,6 +9,7 @@ oracle for small graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,33 +77,65 @@ def modularity(graph: Graph, partition: Partition) -> float:
 
 
 def _local_moves(adj, node_degree, comm_degree, comm, two_m, rng):
-    """One level of gain-driven single-node moves; returns True if any node moved."""
+    """One level of gain-driven single-node moves; returns True if any node moved.
+
+    A visit is skipped when its outcome is already fixed. When node i is
+    placed, its community's score leads every other score s of i by a
+    margin M; a later move of a non-neighbour u changes two community
+    degrees by k_u, which narrows M by at most 4 k_i k_u / |K|^2. So while
+    no neighbour of i has moved (that would change w_to and the candidate
+    set) and the degree moved since, `shifted` minus its value at
+    placement, stays below (M - 2 eps) |K|^2 / (4 k_i), every gain a visit
+    would compute is below -eps and i would stay. A stay leaves
+    comm_degree exactly as it was (degrees and weights are integer-valued
+    floats), so skipping changes no move, no pass gain and no RNG draw.
+    """
     n = len(adj)
     moved_any = False
+    two_m_sq = two_m**2
+    shifted = 0.0  # summed degree of the nodes moved so far in this level
+    deadline = [-1.0] * n  # visit i is skipped while shifted < deadline[i]
     while True:
         pass_gain = 0.0
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
+            if shifted < deadline[i]:
+                continue
             a = comm[i]
             ki = node_degree[i]
+            two_ki = 2.0 * ki
             w_to: dict[int, float] = {}
             for j, w in adj[i].items():
                 cj = comm[j]
                 w_to[cj] = w_to.get(cj, 0.0) + w
             comm_degree[a] -= ki
-            stay_score = 2.0 * w_to.get(a, 0.0) / two_m - 2.0 * ki * comm_degree[a] / two_m**2
-            best_c, best_gain = a, 0.0
+            stay_score = 2.0 * w_to.get(a, 0.0) / two_m - two_ki * comm_degree[a] / two_m_sq
+            best_c, best_gain, best_score = a, 0.0, stay_score
+            top1, top2 = stay_score, -math.inf
             for c in sorted(w_to):
                 if c == a:
                     continue
-                score = 2.0 * w_to[c] / two_m - 2.0 * ki * comm_degree[c] / two_m**2
+                score = 2.0 * w_to[c] / two_m - two_ki * comm_degree[c] / two_m_sq
                 gain = score - stay_score
                 if gain > best_gain + _MOVE_EPS:
-                    best_c, best_gain = c, gain
+                    best_c, best_gain, best_score = c, gain, score
+                if score > top1:
+                    top1, top2 = score, top1
+                elif score > top2:
+                    top2 = score
             comm[i] = best_c
             comm_degree[best_c] += ki
             if best_c != a:
                 moved_any = True
                 pass_gain += best_gain
+                shifted += ki
+                for j in adj[i]:
+                    deadline[j] = -1.0
+            if ki == 0.0:
+                deadline[i] = math.inf  # no neighbours and every score 0: it never moves
+            elif best_score == top1 and top1 - top2 > 2.0 * _MOVE_EPS:
+                deadline[i] = shifted + (top1 - top2 - 2.0 * _MOVE_EPS) * two_m_sq / (4.0 * ki)
+            else:
+                deadline[i] = -1.0
         if pass_gain < _GAIN_EPS:
             break
     return moved_any
@@ -228,7 +261,11 @@ def louvain_maximize(graph: Graph, rng_seed: int):
     (partition, q_star).
 
     Ties in move gain break toward the lowest community id, and a level
-    stops once a full pass gains less than 1e-9 total.
+    stops once a full pass gains less than 1e-9 total. A node visit is
+    skipped while none of the node's neighbours has moved since its last
+    visit and the degree moved elsewhere is too small to close its last
+    score margin, so the visit would provably keep it in place; the moves,
+    the visiting orders and the result equal those of visiting every node.
     """
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")

@@ -92,11 +92,13 @@ def normalize(a_tilde: np.ndarray, rule: str = "truncate", logistic_k: float = D
     off-diagonal entries are all equal). The diagonal is structurally zero:
     dyads never include self-pairs.
     """
-    return _normalize(_require_symmetric(a_tilde, "normalize input"), rule, logistic_k)
+    out = _normalize(_require_symmetric(a_tilde, "normalize input"), rule, logistic_k)
+    return (out + out.T) / 2.0
 
 
 def _normalize(m: np.ndarray, rule: str, logistic_k: float) -> np.ndarray:
-    """normalize for a float matrix the caller built symmetric."""
+    """normalize for a float matrix the caller built exactly symmetric; every
+    rule maps entries one by one, so the result is exactly symmetric too."""
     n = m.shape[0]
     if rule == "truncate":
         out = np.clip(m, 0.0, 1.0)
@@ -116,7 +118,7 @@ def _normalize(m: np.ndarray, rule: str, logistic_k: float) -> np.ndarray:
     else:
         raise ValueError(f"unknown normalization rule {rule!r}")
     np.fill_diagonal(out, 0.0)
-    return (out + out.T) / 2.0
+    return out
 
 
 def _check_probability_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 Nodes are dense integers 0..n-1 so that every matrix in the pipeline stays
 index-aligned with the graph. A graph stores its edges as two sorted,
 deduplicated int64 arrays with rows < cols; those arrays are read-only, and
-everything derived from them (degrees, the sparse adjacency, the edge set)
-is computed once on first use from those arrays alone. Graphs are therefore
-immutable after construction and safe to share between threads: a cache
-filled twice by racing threads holds the same value either way.
+everything derived from them (degrees, the sparse adjacency, the edge set,
+the average clustering) is computed once on first use from those arrays
+alone. Graphs are therefore immutable after construction and safe to share
+between threads: a cache filled twice by racing threads holds the same value
+either way.
 """
 
 from __future__ import annotations
@@ -142,6 +143,22 @@ class Graph:
         data = np.ones(both_r.size)
         return sparse.csr_array((data, (both_r, both_c)), shape=(self.n, self.n))
 
+    @cached_property
+    def _average_clustering(self) -> float:
+        if self.n == 0:
+            return 0.0
+        a = self.csr
+        # row v of (A @ A) * A sums, over neighbours u, the common neighbours of
+        # v and u: twice the triangles through v, an exact integer
+        links = (a @ a).multiply(a).sum(axis=1).astype(np.int64).tolist()
+        total = 0.0
+        # sequential sum in node order, so the float result does not depend on
+        # numpy's pairwise summation
+        for link, k in zip(links, self._degrees.tolist()):
+            if k >= 2:
+                total += link / (k * (k - 1))
+        return total / self.n
+
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix with zero diagonal."""
         a = np.zeros((self.n, self.n))
@@ -175,21 +192,9 @@ def average_clustering(graph: Graph) -> float:
     """Mean local clustering coefficient.
 
     Nodes of degree < 2 contribute 0 to the mean (they close no triads);
-    the empty graph returns 0.
+    the empty graph returns 0. Returns the graph's cached value.
     """
-    if graph.n == 0:
-        return 0.0
-    a = graph.csr
-    # row v of (A @ A) * A sums, over neighbours u, the common neighbours of
-    # v and u: twice the triangles through v, an exact integer
-    links = (a @ a).multiply(a).sum(axis=1).astype(np.int64).tolist()
-    total = 0.0
-    # sequential sum in node order, so the float result does not depend on
-    # numpy's pairwise summation
-    for link, k in zip(links, degree_vector(graph).tolist()):
-        if k >= 2:
-            total += link / (k * (k - 1))
-    return total / graph.n
+    return graph._average_clustering
 
 
 def load_edge_list(text: str) -> Graph:

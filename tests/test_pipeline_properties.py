@@ -1,7 +1,8 @@
 """Property tests: the fitted spectral model and the attack's greedy matching.
 
 `fit(...).probabilities(...)` is compared exactly with `edge_probabilities`
-and checked to be a valid probability matrix; the blocked greedy matcher is
+and with the public `normalize` (which symmetrizes its input's image) and
+checked to be a valid probability matrix; the blocked greedy matcher is
 compared exactly with the one-pair-at-a-time walk it replaced.
 """
 
@@ -16,10 +17,13 @@ from graphforge.forge import (
     NORMALIZATION_RULES,
     TRANSFORMATIONS,
     ForgeConfig,
+    back_transform,
     edge_probabilities,
     fit,
+    normalize,
 )
 from graphforge.graph import Graph
+from graphforge.spectral import low_rank_approx
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -55,6 +59,9 @@ def test_fitted_model_matches_edge_probabilities(g, transformation, alphas, k):
                 continue
             p = model.probabilities(alpha, rule, logistic_k)
             assert np.array_equal(p, expected)
+            a_tilde = back_transform(low_rank_approx(model.eig, alpha), model.degrees,
+                                     transformation)
+            assert np.array_equal(p, normalize(a_tilde, rule, logistic_k))
             assert np.array_equal(p, p.T)
             assert p.min() >= 0.0 and p.max() <= 1.0
             assert not np.diagonal(p).any()
