@@ -32,6 +32,7 @@ from .evaluate import (
 from .forge import (
     EntropyReport,
     ForgeConfig,
+    ForgedDistribution,
     SpectralModel,
     back_transform,
     edge_probabilities,

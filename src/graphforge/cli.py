@@ -8,21 +8,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from . import evaluate
 from .evaluate import (
     AttackConfig,
     Dataset,
     Strategy,
-    _seed_from,
     compare,
     dcsbm_strategy,
     dv_attack,
     experiment_csv,
+    format_value,
     random_guess_rate,
     run_experiment,
+    seed_from,
     sgf_strategy,
     trajanovski_strategy,
 )
@@ -31,8 +33,6 @@ from .forge import (
     NORMALIZATION_RULES,
     TRANSFORMATIONS,
     ForgeConfig,
-    _normalized_entropy,
-    _sample_bernoulli,
     fit,
     forge,
 )
@@ -59,12 +59,13 @@ def _read_graph(path: str) -> Graph:
     return load_edge_list(Path(path).read_text())
 
 
-def _write_text(directory: str, name: str, text: str) -> Path:
+def _write_output(directory: str, name: str, text: str) -> None:
+    """Write one output file and print its path."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
     target.write_text(text)
-    return target
+    print(target)
 
 
 def _parse_alphas(spec: str) -> list[float]:
@@ -74,6 +75,8 @@ def _parse_alphas(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid {spec!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("grid step must be positive")
         alphas = []
@@ -120,7 +123,7 @@ def _preset_dataset(args) -> Dataset:
                 n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES,
                 p_in=args.p_in if args.p_in is not None else GIRVAN_P_IN,
                 p_out=args.p_out if args.p_out is not None else GIRVAN_P_OUT,
-                seed=_seed_from(seed, 100, i)))[0]
+                seed=seed_from(seed, 100, i)))[0]
             for i in range(count)
         ]
         return Dataset(name="girvan", graphs=tuple(graphs))
@@ -132,7 +135,7 @@ def _preset_dataset(args) -> Dataset:
             planted_partition(PlantedPartitionConfig(
                 n=nodes, communities=args.communities,
                 p_in=args.p_in, p_out=args.p_out,
-                seed=_seed_from(seed, 100, i)))[0]
+                seed=seed_from(seed, 100, i)))[0]
             for i in range(count)
         ]
         return Dataset(name="planted", graphs=tuple(graphs))
@@ -143,7 +146,7 @@ def _preset_dataset(args) -> Dataset:
                 mean_degree=args.mean_degree,
                 mean_community_size=args.mean_community_size,
                 mixing=args.mixing,
-                seed=_seed_from(seed, 100, i)))[0]
+                seed=seed_from(seed, 100, i)))[0]
             for i in range(count)
         ]
         return Dataset(name="lancichinetti", graphs=tuple(graphs))
@@ -155,8 +158,7 @@ def _cmd_generate(args) -> int:
     cfg = ForgeConfig(alpha=args.alpha, rule=args.rule, logistic_k=args.logistic_k,
                       transformation=args.transformation, seed=args.seed)
     out = forge(graph, cfg)
-    target = _write_text(args.output_dir, "generated.el", write_edge_list(out))
-    print(target)
+    _write_output(args.output_dir, "generated.el", write_edge_list(out))
     return 0
 
 
@@ -166,44 +168,41 @@ def _cmd_eval(args) -> int:
     if args.attrs:
         graph = load_attributes(Path(args.attrs).read_text(), graph)
     report = compare(graph, generated, args.seed)
-    lines = ["metric,value"]
-    for metric, value in report.as_items():
-        lines.append(f"{metric},{evaluate._fmt(value)}")
-    target = _write_text(args.output_dir, "metrics.csv", "\n".join(lines) + "\n")
-    print(target)
+    lines = ["metric,value"] + [f"{metric},{format_value(value)}"
+                                for metric, value in report.as_items()]
+    _write_output(args.output_dir, "metrics.csv", "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     # the decomposition depends on the input only and P on the input and
-    # alpha, so one fit serves the grid and one P per alpha gives the entropy
-    # and every run's sample
+    # alpha, so one fit serves the grid and one distribution per alpha gives
+    # the entropy and every run's sample
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
     alphas = _parse_alphas(args.alphas)
-    graph = _read_graph(args.input)
     configs = [ForgeConfig(alpha=alpha, rule=args.rule, logistic_k=args.logistic_k,
                            transformation=args.transformation) for alpha in alphas]
+    attack = AttackConfig(seed_fraction=args.seed_fraction)
+    graph = _read_graph(args.input)
     model = fit(graph, args.transformation)
     lines = [SWEEP_CSV_HEADER]
     for ai, cfg in enumerate(configs):
-        probs = model.probabilities(cfg.alpha, cfg.rule, cfg.logistic_k)
-        entropy = _normalized_entropy(probs).normalized
+        dist = model.at(cfg.alpha, cfg.rule, cfg.logistic_k)
+        entropy = dist.entropy().normalized
         ratios: list[float] = []
         rates: list[float] = []
         for run in range(args.runs):
-            out = _sample_bernoulli(probs, _seed_from(args.seed, ai, run, 0))
-            report = compare(graph, out, _seed_from(args.seed, ai, run, 1))
+            out = dist.sample(seed_from(args.seed, ai, run, 0))
+            report = compare(graph, out, seed_from(args.seed, ai, run, 1))
             if report.modularity_ratio is not None:
                 ratios.append(report.modularity_ratio)
-            rates.append(dv_attack(graph, out, AttackConfig(
-                seed_fraction=args.seed_fraction,
-                seed=_seed_from(args.seed, ai, run, 2))))
+            rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(args.seed, ai, run, 2))))
         ratio = sum(ratios) / len(ratios) if ratios else None
         rate = sum(rates) / len(rates)
-        lines.append(f"{cfg.alpha:g},{evaluate._fmt(ratio)},{evaluate._fmt(entropy)},{evaluate._fmt(rate)}")
-    target = _write_text(args.output_dir, "sweep.csv", "\n".join(lines) + "\n")
-    print(target)
+        row = ",".join(format_value(v) for v in (ratio, entropy, rate))
+        lines.append(f"{cfg.alpha:g},{row}")
+    _write_output(args.output_dir, "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -245,8 +244,7 @@ def _cmd_bench(args) -> int:
                                    args.transformation)
     dataset = _preset_dataset(args)
     rows = run_experiment(strategies, [dataset], args.runs, args.seed)
-    target = _write_text(args.output_dir, f"bench_{dataset.name}.csv", experiment_csv(rows))
-    print(target)
+    _write_output(args.output_dir, f"bench_{dataset.name}.csv", experiment_csv(rows))
     return 0
 
 

@@ -196,19 +196,6 @@ def _chain_refine(adj, node_degree, two_m, labels):
         comm_degree[c] = comm_degree.get(c, 0.0) + node_degree[i]
     next_comm = max(labels) + 1
 
-    def move_gain(i: int, target: int) -> float:
-        a = labels[i]
-        ki = node_degree[i]
-        w_to: dict[int, float] = {}
-        for j, w in adj[i].items():
-            cj = labels[j]
-            w_to[cj] = w_to.get(cj, 0.0) + w
-        stay = 2.0 * w_to.get(a, 0.0) / two_m \
-            - 2.0 * ki * (comm_degree[a] - ki) / two_m**2
-        score = 2.0 * w_to.get(target, 0.0) / two_m \
-            - 2.0 * ki * comm_degree.get(target, 0.0) / two_m**2
-        return score - stay
-
     while True:
         locked = [False] * n
         chain: list[tuple[int, int, int]] = []
@@ -220,11 +207,21 @@ def _chain_refine(adj, node_degree, two_m, labels):
             for i in range(n):
                 if locked[i]:
                     continue
-                targets = {labels[j] for j in adj[i]}
+                a = labels[i]
+                ki = node_degree[i]
+                w_to: dict[int, float] = {}
+                for j, w in adj[i].items():
+                    cj = labels[j]
+                    w_to[cj] = w_to.get(cj, 0.0) + w
+                stay = 2.0 * w_to.get(a, 0.0) / two_m \
+                    - 2.0 * ki * (comm_degree[a] - ki) / two_m**2
+                targets = set(w_to)
                 targets.add(next_comm)  # splitting off is always on the table
-                targets.discard(labels[i])
+                targets.discard(a)
                 for target in sorted(targets):
-                    gain = move_gain(i, target)
+                    score = 2.0 * w_to.get(target, 0.0) / two_m \
+                        - 2.0 * ki * comm_degree.get(target, 0.0) / two_m**2
+                    gain = score - stay
                     if step_best is None or gain > step_best[0] + _MOVE_EPS:
                         step_best = (gain, i, target)
             if step_best is None:

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from . import baselines, forge as forge_mod
 from .community import Partition, louvain_maximize, modularity
-from .forge import ForgeConfig, edge_probabilities, normalize, normalized_entropy
+from .forge import ForgeConfig, normalize, normalized_entropy
 from .graph import Graph, average_clustering, degree_vector, require_dense_budget
 from .spectral import eigendecompose, low_rank_approx, spectral_norm
 
@@ -32,7 +32,7 @@ EXPERIMENT_CSV_HEADER = "strategy,dataset,metric,mean,std,ci99,runs"
 STUDY_CSV_HEADER = "graph,family,alpha,rule,dist_spectral,dist_normed,entropy"
 
 
-def _seed_from(*parts: int) -> int:
+def seed_from(*parts: int) -> int:
     """Deterministic 64-bit sub-seed from a tuple of integers."""
     ss = np.random.SeedSequence(entropy=list(parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -69,7 +69,7 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsRe
     """
     if input_graph.n != output_graph.n:
         raise ValueError("input and output graphs must have the same node count")
-    louvain_seed = _seed_from(rng_seed, 0)
+    louvain_seed = seed_from(rng_seed, 0)
 
     part_in, q_in = louvain_maximize(input_graph, louvain_seed)
     if output_graph.num_edges > 0:
@@ -138,11 +138,11 @@ def dcsbm_strategy() -> Strategy:
     """
 
     def make(graph: Graph, seed: int) -> Graph:
-        part, _ = louvain_maximize(graph, _seed_from(seed, 1))
+        part, _ = louvain_maximize(graph, seed_from(seed, 1))
         cfg = baselines.dcsbm_config_from(graph, part)
         cfg = baselines.DcsbmConfig(
             degrees=cfg.degrees, partition=cfg.partition,
-            block_edges=cfg.block_edges, seed=_seed_from(seed, 2),
+            block_edges=cfg.block_edges, seed=seed_from(seed, 2),
         )
         return baselines.dcsbm_generate(cfg)
 
@@ -155,10 +155,10 @@ def trajanovski_strategy() -> Strategy:
     counts."""
 
     def make(graph: Graph, seed: int) -> Graph:
-        part, q_star = louvain_maximize(graph, _seed_from(seed, 1))
+        part, q_star = louvain_maximize(graph, seed_from(seed, 1))
         cfg = baselines.TrajanovskiConfig(
             q_target=q_star, communities=part.m, n=graph.n,
-            num_edges=graph.num_edges, seed=_seed_from(seed, 2),
+            num_edges=graph.num_edges, seed=seed_from(seed, 2),
         )
         return baselines.trajanovski_generate(cfg)
 
@@ -212,8 +212,8 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
             for gi, graph in enumerate(dataset.graphs):
                 for run in range(runs_per_pair):
                     try:
-                        output = strategy.make(graph, _seed_from(rng_seed, si, di, gi, run, 0))
-                        report = compare(graph, output, _seed_from(rng_seed, si, di, gi, run, 1))
+                        output = strategy.make(graph, seed_from(rng_seed, si, di, gi, run, 0))
+                        report = compare(graph, output, seed_from(rng_seed, si, di, gi, run, 1))
                     except Exception:  # noqa: BLE001 - strategy failures become rows
                         failures += 1
                         continue
@@ -231,7 +231,8 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
     return rows
 
 
-def _fmt(value: float | None) -> str:
+def format_value(value: float | None) -> str:
+    """A metric as CSV text: NA for None or NaN, else the float's repr."""
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return CSV_NA
     return repr(float(value))
@@ -240,7 +241,8 @@ def _fmt(value: float | None) -> str:
 def experiment_csv(rows: Sequence[ExperimentRow]) -> str:
     lines = [EXPERIMENT_CSV_HEADER]
     for r in rows:
-        lines.append(f"{r.strategy},{r.dataset},{r.metric},{_fmt(r.mean)},{_fmt(r.std)},{_fmt(r.ci99)},{r.runs}")
+        stats = ",".join(format_value(v) for v in (r.mean, r.std, r.ci99))
+        lines.append(f"{r.strategy},{r.dataset},{r.metric},{stats},{r.runs}")
     return "\n".join(lines) + "\n"
 
 
@@ -291,8 +293,8 @@ def normalization_study(labeled_graphs: Sequence[tuple[str, str, Graph]],
 def study_csv(rows: Sequence[StudyRow]) -> str:
     lines = [STUDY_CSV_HEADER]
     for r in rows:
-        lines.append(f"{r.graph},{r.family},{r.alpha:g},{r.rule},"
-                     f"{_fmt(r.dist_spectral)},{_fmt(r.dist_normed)},{_fmt(r.entropy)}")
+        values = ",".join(format_value(v) for v in (r.dist_spectral, r.dist_normed, r.entropy))
+        lines.append(f"{r.graph},{r.family},{r.alpha:g},{r.rule},{values}")
     return "\n".join(lines) + "\n"
 
 

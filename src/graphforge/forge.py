@@ -1,10 +1,10 @@
 """The generation pipeline: back-transformation, normalization to edge
 probabilities, Bernoulli sampling, and the distribution's normalized entropy.
 
-`forge` composes the whole chain: transform the input graph to a symmetric
-matrix (modularity matrix or raw adjacency), keep the leading ceil(alpha * n)
-eigenterms, transform back, squash into [0, 1], then sample each dyad
-independently. alpha = 1 with the truncate rule reproduces the input graph.
+`fit` decomposes the modularity (or adjacency) matrix once; `model.at(alpha,
+rule, logistic_k)` keeps the ceil(alpha * n) leading eigenterms, transforms
+back and squashes into [0, 1], giving a `ForgedDistribution` that samples and
+scores itself. alpha = 1 with the truncate rule reproduces the input graph.
 """
 
 from __future__ import annotations
@@ -128,27 +128,6 @@ def _check_probability_matrix(matrix: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def sample_bernoulli(prob_matrix: np.ndarray, seed: int) -> Graph:
-    """Draw one graph: each dyad j > i is an independent coin with its own bias.
-
-    The diagonal is forced to zero and the lower triangle mirrors the upper.
-    Reproducibility contract: one uniform draw per dyad, consumed in
-    row-major order over j > i, from a PCG64 generator seeded with `seed`.
-    """
-    return _sample_bernoulli(_check_probability_matrix(prob_matrix), seed)
-
-
-def _sample_bernoulli(p: np.ndarray, seed: int) -> Graph:
-    """sample_bernoulli for a P that `_normalize` built."""
-    n = p.shape[0]
-    rng = np.random.default_rng(seed)
-    rows, cols = np.triu_indices(n, k=1)
-    draws = rng.random(rows.shape[0])
-    hit = draws < p[rows, cols]
-    # triu_indices runs row-major over j > i, already the graph's edge order
-    return Graph(n, rows[hit], cols[hit])
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """Shannon entropy of the dyad-independent sampling distribution.
@@ -176,55 +155,76 @@ def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
     return h
 
 
+@dataclass(frozen=True, eq=False)
+class ForgedDistribution:
+    """The dyad-independent graph distribution of a probability matrix that
+    is exactly symmetric, in [0, 1] and zero on the diagonal, held as given."""
+
+    probabilities: np.ndarray
+
+    def sample(self, seed: int) -> Graph:
+        """Draw one graph. Reproducibility contract: one uniform draw per dyad
+        j > i, in row-major order, from a PCG64 generator seeded with `seed`."""
+        p = self.probabilities
+        n = p.shape[0]
+        rng = np.random.default_rng(seed)
+        rows, cols = np.triu_indices(n, k=1)
+        draws = rng.random(rows.shape[0])
+        hit = draws < p[rows, cols]
+        # triu_indices runs row-major over j > i, already the graph's edge order
+        return Graph(n, rows[hit], cols[hit])
+
+    def entropy(self) -> EntropyReport:
+        """Entropy of the distribution and its two normalizations."""
+        p = self.probabilities
+        n = p.shape[0]
+        dyads = n * (n - 1) // 2
+        if dyads == 0:
+            return EntropyReport(0.0, 0.0, math.nan, 0.0, math.nan, 0.0)
+        upper = p[np.triu_indices(n, k=1)]
+        raw_bits = float(np.sum(_binary_entropy_bits(upper)))
+        density = float(np.sum(upper) / dyads)
+        if density <= 0.0 or density >= 1.0:
+            # degenerate distribution: the normalizers are undefined
+            return EntropyReport(raw_bits, density, math.nan, 0.0, math.nan, 0.0)
+        normalizer = -dyads * (math.log2(density) + math.log2(1.0 - density))
+        weighted = dyads * (-density * math.log2(density) - (1.0 - density) * math.log2(1.0 - density))
+        return EntropyReport(
+            raw_bits=raw_bits,
+            density=density,
+            normalizer=normalizer,
+            normalized=raw_bits / normalizer,
+            weighted_normalizer=weighted,
+            weighted_normalized=raw_bits / weighted,
+        )
+
+
+def sample_bernoulli(prob_matrix: np.ndarray, seed: int) -> Graph:
+    """Draw one graph from a probability matrix (see `ForgedDistribution.sample`)."""
+    return ForgedDistribution(_check_probability_matrix(prob_matrix)).sample(seed)
+
+
 def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
     """Entropy of the graph distribution defined by a probability matrix."""
-    return _normalized_entropy(_check_probability_matrix(prob_matrix))
-
-
-def _normalized_entropy(p: np.ndarray) -> EntropyReport:
-    """normalized_entropy for a P that `_normalize` built."""
-    n = p.shape[0]
-    dyads = n * (n - 1) // 2
-    if dyads == 0:
-        return EntropyReport(0.0, 0.0, math.nan, 0.0, math.nan, 0.0)
-    upper = p[np.triu_indices(n, k=1)]
-    raw_bits = float(np.sum(_binary_entropy_bits(upper)))
-    density = float(np.sum(upper) / dyads)
-    if density <= 0.0 or density >= 1.0:
-        # degenerate distribution: the normalizers are undefined
-        return EntropyReport(raw_bits, density, math.nan, 0.0, math.nan, 0.0)
-    normalizer = -dyads * (math.log2(density) + math.log2(1.0 - density))
-    weighted = dyads * (-density * math.log2(density) - (1.0 - density) * math.log2(1.0 - density))
-    return EntropyReport(
-        raw_bits=raw_bits,
-        density=density,
-        normalizer=normalizer,
-        normalized=raw_bits / normalizer,
-        weighted_normalizer=weighted,
-        weighted_normalized=raw_bits / weighted,
-    )
+    return ForgedDistribution(_check_probability_matrix(prob_matrix)).entropy()
 
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """The eigendecomposition of one input, reusable across alphas and rules.
-
-    Built by `fit`. `probabilities(alpha, rule, logistic_k)` keeps the
-    ceil(alpha * n) leading eigenterms, transforms back and normalizes; it
-    equals `edge_probabilities` for the same graph and knobs.
-    """
+    """The eigendecomposition of one input, built by `fit` and reusable
+    across alphas and rules."""
 
     degrees: np.ndarray
     eig: EigenDecomposition
     transformation: str
 
-    def probabilities(self, alpha: float, rule: str = "truncate",
-                      logistic_k: float = DEFAULT_LOGISTIC_K) -> np.ndarray:
-        """The probability matrix at one alpha: exactly symmetric, in [0, 1],
-        zero on the diagonal."""
+    def at(self, alpha: float, rule: str = "truncate",
+           logistic_k: float = DEFAULT_LOGISTIC_K) -> ForgedDistribution:
+        """Keep the ceil(alpha * n) leading eigenterms, transform back and
+        normalize; the probabilities equal `edge_probabilities`."""
         m_tilde = low_rank_approx(self.eig, alpha)
         a_tilde = back_transform(m_tilde, self.degrees, self.transformation)
-        return _normalize(a_tilde, rule, logistic_k)
+        return ForgedDistribution(_normalize(a_tilde, rule, logistic_k))
 
 
 def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
@@ -250,8 +250,8 @@ def edge_probabilities(graph: Graph, config: ForgeConfig) -> np.ndarray:
     `forge(graph, config)` is distributed Bernoulli(edge_probabilities(graph,
     config)) dyad by dyad.
     """
-    model = fit(graph, config.transformation)
-    return model.probabilities(config.alpha, config.rule, config.logistic_k)
+    return fit(graph, config.transformation).at(
+        config.alpha, config.rule, config.logistic_k).probabilities
 
 
 def forge(graph: Graph, config: ForgeConfig) -> Graph:
@@ -260,7 +260,9 @@ def forge(graph: Graph, config: ForgeConfig) -> Graph:
     Output has the same node count and inherits the input's node attributes
     by index. Same config (including seed) yields the same graph.
     """
-    sampled = _sample_bernoulli(edge_probabilities(graph, config), config.seed)
+    # the model is not kept, so its eigenvectors are freed before sampling
+    dist = fit(graph, config.transformation).at(config.alpha, config.rule, config.logistic_k)
+    sampled = dist.sample(config.seed)
     if graph.attributes:
         sampled = sampled.with_attributes(graph.attributes)
     return sampled

@@ -20,11 +20,11 @@ from graphforge.community import (
 from graphforge.evaluate import (
     AttackConfig,
     Dataset,
-    _seed_from,
     compare,
     dv_attack,
     normalization_study,
     run_experiment,
+    seed_from,
     sgf_strategy,
 )
 from graphforge.forge import ForgeConfig, forge, normalized_entropy
@@ -204,7 +204,7 @@ def girvan_experiment():
         planted_partition(PlantedPartitionConfig(
             n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES,
             p_in=GIRVAN_P_IN, p_out=GIRVAN_P_OUT,
-            seed=_seed_from(505, i)))[0]
+            seed=seed_from(505, i)))[0]
         for i in range(10)
     )
     dataset = Dataset(name="girvan", graphs=graphs)
@@ -239,9 +239,9 @@ def test_c06_structure_preserved_at_alpha_09(girvan_experiment):
 def normalization_rows():
     graphs = []
     for i in range(10):
-        graphs.append((f"er{i}", "er", erdos_renyi(100, 4.5 / 99, seed=_seed_from(707, i))))
+        graphs.append((f"er{i}", "er", erdos_renyi(100, 4.5 / 99, seed=seed_from(707, i))))
     for i in range(10):
-        graphs.append((f"ba{i}", "ba", barabasi_albert(100, 2.3, seed=_seed_from(708, i))))
+        graphs.append((f"ba{i}", "ba", barabasi_albert(100, 2.3, seed=seed_from(708, i))))
     grid = [round(0.1 * k, 1) for k in range(1, 11)]
     return normalization_study(graphs, grid, rules=("truncate", "scale")), grid
 
@@ -323,7 +323,7 @@ def test_c09_block_model_fidelity():
     total_nodes = 0
     for gi in range(10):
         g, part = planted_partition(PlantedPartitionConfig(
-            n=200, communities=4, p_in=0.1, p_out=0.02, seed=_seed_from(909, gi)))
+            n=200, communities=4, p_in=0.1, p_out=0.02, seed=seed_from(909, gi)))
         base = dcsbm_config_from(g, part)
         labels = np.array(part.assignment)
         targets = np.array(base.degrees, dtype=float)
@@ -332,7 +332,7 @@ def test_c09_block_model_fidelity():
         sums = np.zeros(g.n)
         for d in range(draws):
             cfg = DcsbmConfig(degrees=base.degrees, partition=base.partition,
-                              block_edges=base.block_edges, seed=_seed_from(910, gi, d))
+                              block_edges=base.block_edges, seed=seed_from(910, gi, d))
             out = dcsbm_generate(cfg)
             counts = np.zeros_like(block)
             for i, j in out.edges:
@@ -369,10 +369,10 @@ def test_c10_privacy_utility_tradeoff():
         ratios[alpha] = []
         for trial in range(10):
             key = int(alpha * 100)
-            out = forge(g, ForgeConfig(alpha=alpha, seed=_seed_from(1011, key, trial)))
+            out = forge(g, ForgeConfig(alpha=alpha, seed=seed_from(1011, key, trial)))
             rates[alpha].append(dv_attack(g, out, AttackConfig(
-                seed_fraction=0.05, seed=_seed_from(1012, key, trial))))
-            report = compare(g, out, _seed_from(1013, key, trial))
+                seed_fraction=0.05, seed=seed_from(1012, key, trial))))
+            report = compare(g, out, seed_from(1013, key, trial))
             ratios[alpha].append(report.modularity_ratio)
     high = float(np.mean(rates[0.9]))
     low = float(np.mean(rates[0.25]))

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphforge import cli
 from graphforge.cli import _parse_alphas, dispatch
 from graphforge.graph import load_edge_list, write_edge_list
 
@@ -103,12 +106,29 @@ def test_sweep_csv_and_entropy_trend(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--alphas", "0.5", "--runs", "0"],
                                    ["--alphas", "0.5", "--runs", "-1"],
-                                   ["--alphas", "0.5:0.1:0.1"]])
+                                   ["--alphas", "0.5:0.1:0.1"],
+                                   # a grid part that is not finite never ends the grid
+                                   ["--alphas", "0:1:nan"],
+                                   ["--alphas", "0:inf:0.1"],
+                                   ["--alphas", "nan:1:0.1"]])
 def test_sweep_rejects_no_runs_and_empty_grid(tmp_path, clique_file, capsys, flags):
     path, _ = clique_file
     rc = dispatch(["sweep", "--input", str(path), "--output-dir", str(tmp_path)] + flags)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_checks_seed_fraction_before_dense_work(tmp_path, capsys):
+    # the input is too large to fit: the bad seed fraction must be reported
+    # before any fit, and so instead of the dense-memory error
+    path = tmp_path / "huge.el"
+    path.write_text("#nodes 200000\n0 1\n")
+    rc = dispatch(["sweep", "--input", str(path), "--alphas", "0.5", "--runs", "1",
+                   "--seed-fraction", "0", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed_fraction" in err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -175,3 +195,28 @@ def test_oversized_dense_work_fails_fast(tmp_path, capsys, command):
     assert err.startswith("error:")
     assert "n = 200000" in err and "bytes" in err
     assert not (tmp_path / "generated.el").exists()
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_uses_only_public_names_of_other_modules():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules: set[str] = set()
+    private: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module is None:  # from . import <module>
+                    modules.add(alias.asname or alias.name)
+                if _is_private(alias.name):
+                    private.append(f"line {node.lineno}: from {'.' * node.level}"
+                                   f"{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            private.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert private == []

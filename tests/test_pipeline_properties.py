@@ -1,8 +1,9 @@
 """Property tests: the fitted spectral model and the attack's greedy matching.
 
-`fit(...).probabilities(...)` is compared exactly with `edge_probabilities`
-and with the public `normalize` (which symmetrizes its input's image) and
-checked to be a valid probability matrix; the blocked greedy matcher is
+`fit(...).at(...).probabilities` is compared exactly with
+`edge_probabilities` and with the public `normalize` (which symmetrizes its
+input's image) and checked to be a valid probability matrix; alpha = 1 with
+the truncate rule reproduces random inputs; the blocked greedy matcher is
 compared exactly with the one-pair-at-a-time walk it replaced.
 """
 
@@ -20,6 +21,7 @@ from graphforge.forge import (
     back_transform,
     edge_probabilities,
     fit,
+    forge,
     normalize,
 )
 from graphforge.graph import Graph
@@ -55,9 +57,9 @@ def test_fitted_model_matches_edge_probabilities(g, transformation, alphas, k):
             except ValueError:
                 # the scale rule refuses equal off-diagonal entries
                 with pytest.raises(ValueError):
-                    model.probabilities(alpha, rule, logistic_k)
+                    model.at(alpha, rule, logistic_k)
                 continue
-            p = model.probabilities(alpha, rule, logistic_k)
+            p = model.at(alpha, rule, logistic_k).probabilities
             assert np.array_equal(p, expected)
             a_tilde = back_transform(low_rank_approx(model.eig, alpha), model.degrees,
                                      transformation)
@@ -65,6 +67,14 @@ def test_fitted_model_matches_edge_probabilities(g, transformation, alphas, k):
             assert np.array_equal(p, p.T)
             assert p.min() >= 0.0 and p.max() <= 1.0
             assert not np.diagonal(p).any()
+
+
+@PROPERTY_SETTINGS
+@given(graphs(min_n=2, min_edges=1), st.sampled_from(TRANSFORMATIONS),
+       st.integers(0, 2**32 - 1))
+def test_alpha_one_truncate_reproduces_input(g, transformation, seed):
+    config = ForgeConfig(alpha=1.0, rule="truncate", transformation=transformation, seed=seed)
+    assert forge(g, config) == g
 
 
 def sequential_match_hits(pair_dist: np.ndarray) -> int:
