@@ -35,7 +35,7 @@ for a in grid:
     print(f"{a:5.1f}   {vals[0]:8.3f}   {vals[1]:8.3f}   {vals[2]:8.3f}")
 
 print()
-print("mean normalized entropy by rule (fraction of the density-matched maximum)")
+print("mean normalized entropy by rule (raw bits over the paper's normalizer -(n(n-1)/2)(log2 d + log2(1-d)))")
 print("alpha   truncate      scale   logistic")
 for a in grid:
     vals = [float(np.mean(entropy[(rule, a)])) for rule in ("truncate", "scale", "logistic")]

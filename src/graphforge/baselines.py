@@ -345,15 +345,11 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
     which the block is declared over-dense.
     """
     rng = np.random.default_rng(config.seed)
-    labels = config.partition.assignment
+    labels = np.asarray(config.partition.assignment)
     m = config.partition.m
-    members: list[np.ndarray] = []
-    cumweights: list[np.ndarray] = []
-    for r in range(m):
-        idx = np.array([v for v in range(len(labels)) if labels[v] == r])
-        w = np.array([config.degrees[v] for v in idx], dtype=float)
-        members.append(idx)
-        cumweights.append(np.cumsum(w))
+    degrees = np.asarray(config.degrees, dtype=float)
+    members = [np.flatnonzero(labels == r) for r in range(m)]
+    cumweights = [np.cumsum(degrees[idx]) for idx in members]
 
     def pick(r: int) -> int:
         cum = cumweights[r]

@@ -79,6 +79,8 @@ def _parse_alphas(spec: str) -> list[float]:
             raise ValueError(f"grid {spec!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("grid step must be positive")
+        if stop > 1.0 + 1e-9:
+            raise ValueError(f"grid {spec!r} runs past alpha = 1")
         alphas = []
         k = 0
         while True:
@@ -115,42 +117,31 @@ def _parse_strategies(spec: str, rule: str, logistic_k: float, transformation: s
 
 
 def _preset_dataset(args) -> Dataset:
-    count = args.graphs
-    seed = args.seed
+    """Draw the preset's graphs from one config, checked before any draw."""
     if args.preset == "girvan":
-        graphs = [
-            planted_partition(PlantedPartitionConfig(
-                n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES,
-                p_in=args.p_in if args.p_in is not None else GIRVAN_P_IN,
-                p_out=args.p_out if args.p_out is not None else GIRVAN_P_OUT,
-                seed=seed_from(seed, 100, i)))[0]
-            for i in range(count)
-        ]
-        return Dataset(name="girvan", graphs=tuple(graphs))
-    if args.preset == "planted":
+        generate = planted_partition
+        cfg = PlantedPartitionConfig(
+            n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES,
+            p_in=args.p_in if args.p_in is not None else GIRVAN_P_IN,
+            p_out=args.p_out if args.p_out is not None else GIRVAN_P_OUT)
+    elif args.preset == "planted":
         if args.p_in is None or args.p_out is None:
             raise ValueError("preset 'planted' requires --p-in and --p-out")
-        nodes = args.nodes if args.nodes is not None else 128
-        graphs = [
-            planted_partition(PlantedPartitionConfig(
-                n=nodes, communities=args.communities,
-                p_in=args.p_in, p_out=args.p_out,
-                seed=seed_from(seed, 100, i)))[0]
-            for i in range(count)
-        ]
-        return Dataset(name="planted", graphs=tuple(graphs))
-    if args.preset == "lancichinetti":
-        graphs = [
-            lancichinetti(LancichinettiConfig(
-                n=args.nodes if args.nodes is not None else 1000,
-                mean_degree=args.mean_degree,
-                mean_community_size=args.mean_community_size,
-                mixing=args.mixing,
-                seed=seed_from(seed, 100, i)))[0]
-            for i in range(count)
-        ]
-        return Dataset(name="lancichinetti", graphs=tuple(graphs))
-    raise ValueError(f"unknown preset {args.preset!r}")
+        generate = planted_partition
+        cfg = PlantedPartitionConfig(
+            n=args.nodes if args.nodes is not None else 128,
+            communities=args.communities, p_in=args.p_in, p_out=args.p_out)
+    elif args.preset == "lancichinetti":
+        generate = lancichinetti
+        cfg = LancichinettiConfig(
+            n=args.nodes if args.nodes is not None else 1000,
+            mean_degree=args.mean_degree, mean_community_size=args.mean_community_size,
+            mixing=args.mixing)
+    else:
+        raise ValueError(f"unknown preset {args.preset!r}")
+    graphs = tuple(generate(replace(cfg, seed=seed_from(args.seed, 100, i)))[0]
+                   for i in range(args.graphs))
+    return Dataset(name=args.preset, graphs=graphs)
 
 
 def _cmd_generate(args) -> int:
@@ -240,6 +231,10 @@ def _apply_config_file(args) -> None:
 def _cmd_bench(args) -> int:
     if args.config:
         _apply_config_file(args)
+    if args.graphs < 1:
+        raise ValueError(f"--graphs must be >= 1, got {args.graphs}")
+    if args.runs < 2:
+        raise ValueError(f"--runs must be >= 2, got {args.runs}")
     strategies = _parse_strategies(args.strategies, args.rule, args.logistic_k,
                                    args.transformation)
     dataset = _preset_dataset(args)

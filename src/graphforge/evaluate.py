@@ -10,7 +10,7 @@ number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,10 +122,12 @@ class Strategy:
 
 def sgf_strategy(alpha: float, rule: str = "truncate", logistic_k: float = forge_mod.DEFAULT_LOGISTIC_K,
                  transformation: str = "modularity") -> Strategy:
+    """The forge at one alpha; its config is checked here, before any run."""
+    cfg = ForgeConfig(alpha=alpha, rule=rule, logistic_k=logistic_k,
+                      transformation=transformation)
+
     def make(graph: Graph, seed: int) -> Graph:
-        cfg = ForgeConfig(alpha=alpha, rule=rule, logistic_k=logistic_k,
-                          transformation=transformation, seed=seed)
-        return forge_mod.forge(graph, cfg)
+        return forge_mod.forge(graph, replace(cfg, seed=seed))
 
     return Strategy(name=f"sgf:{alpha:g}", make=make)
 
@@ -140,11 +142,7 @@ def dcsbm_strategy() -> Strategy:
     def make(graph: Graph, seed: int) -> Graph:
         part, _ = louvain_maximize(graph, seed_from(seed, 1))
         cfg = baselines.dcsbm_config_from(graph, part)
-        cfg = baselines.DcsbmConfig(
-            degrees=cfg.degrees, partition=cfg.partition,
-            block_edges=cfg.block_edges, seed=seed_from(seed, 2),
-        )
-        return baselines.dcsbm_generate(cfg)
+        return baselines.dcsbm_generate(replace(cfg, seed=seed_from(seed, 2)))
 
     return Strategy(name="dcsbm", make=make)
 

@@ -59,7 +59,8 @@ def planted_partition(config: PlantedPartitionConfig):
     rows, cols = np.triu_indices(n, k=1)
     p = np.where(labels[rows] == labels[cols], config.p_in, config.p_out)
     hit = rng.random(rows.shape[0]) < p
-    graph = Graph.from_edges(n, zip(rows[hit].tolist(), cols[hit].tolist()))
+    # triu_indices runs row-major over j > i, already the graph's edge order
+    graph = Graph(n, rows[hit], cols[hit])
     return graph, Partition(assignment=tuple(int(c) for c in labels))
 
 

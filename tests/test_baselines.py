@@ -1,9 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforge.baselines import (
+    EDGE_RETRY_LIMIT,
     DcsbmConfig,
     TrajanovskiConfig,
     community_skeleton_partition,
@@ -169,3 +173,59 @@ def test_dcsbm_deterministic():
     part = Partition((0, 0, 0, 0, 1, 1, 1, 1))
     cfg = dcsbm_config_from(g, part)
     assert dcsbm_generate(cfg) == dcsbm_generate(cfg)
+
+
+def former_dcsbm_generate(config):
+    """`dcsbm_generate` as it was, building each group's members and
+    cumulative degree weights with per-group comprehensions over all nodes."""
+    rng = np.random.default_rng(config.seed)
+    labels = config.partition.assignment
+    m = config.partition.m
+    members = []
+    cumweights = []
+    for r in range(m):
+        idx = np.array([v for v in range(len(labels)) if labels[v] == r])
+        w = np.array([config.degrees[v] for v in idx], dtype=float)
+        members.append(idx)
+        cumweights.append(np.cumsum(w))
+
+    def pick(r):
+        cum = cumweights[r]
+        u = rng.random() * cum[-1]
+        return int(members[r][np.searchsorted(cum, u, side="right")])
+
+    edges = set()
+    block = np.asarray(config.block_edges)
+    for r in range(m):
+        for s in range(r, m):
+            if block[r, s] and (cumweights[r][-1] == 0 or cumweights[s][-1] == 0):
+                raise ValueError(f"block ({r}, {s}) has edges but a zero-degree group")
+            for _ in range(int(block[r, s])):
+                for _attempt in range(EDGE_RETRY_LIMIT):
+                    u = pick(r)
+                    v = pick(s)
+                    if u == v:
+                        continue
+                    key = (u, v) if u < v else (v, u)
+                    if key in edges:
+                        continue
+                    edges.add(key)
+                    break
+                else:
+                    raise ValueError(
+                        f"block ({r}, {s}) too dense: could not place "
+                        f"{block[r, s]} distinct edges"
+                    )
+    return Graph.from_edges(len(labels), edges)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), groups=st.integers(1, 5), density=st.floats(0.05, 0.6),
+       seed=st.integers(0, 2**32 - 1))
+def test_dcsbm_matches_former_group_build(n, groups, density, seed):
+    rng = np.random.default_rng(seed)
+    edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < density]
+    graph = Graph.from_edges(n, edges)
+    part = Partition.from_labels(rng.integers(groups, size=n).tolist())
+    cfg = replace(dcsbm_config_from(graph, part), seed=seed)
+    assert dcsbm_generate(cfg) == former_dcsbm_generate(cfg)

@@ -110,7 +110,10 @@ def test_sweep_csv_and_entropy_trend(tmp_path):
                                    # a grid part that is not finite never ends the grid
                                    ["--alphas", "0:1:nan"],
                                    ["--alphas", "0:inf:0.1"],
-                                   ["--alphas", "nan:1:0.1"]])
+                                   ["--alphas", "nan:1:0.1"],
+                                   # a grid past alpha = 1 would repeat alpha = 1
+                                   ["--alphas", "0.5:1.5:0.5"],
+                                   ["--alphas", "0:1000:0.1"]])
 def test_sweep_rejects_no_runs_and_empty_grid(tmp_path, clique_file, capsys, flags):
     path, _ = clique_file
     rc = dispatch(["sweep", "--input", str(path), "--output-dir", str(tmp_path)] + flags)
@@ -146,6 +149,30 @@ def test_bench_subcommand_and_determinism(tmp_path):
     assert lines[0] == "strategy,dataset,metric,mean,std,ci99,runs"
     strategies = {line.split(",")[0] for line in lines[1:]}
     assert strategies == {"sgf:0.9", "dcsbm"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--strategies", "sgf:1.5"], "alpha must lie in [0, 1]"),
+    (["--strategies", "sgf:nan"], "alpha must lie in [0, 1]"),
+    (["--rule", "logistic", "--logistic-k", "50"], "logistic k must lie in [2, 10]"),
+    (["--graphs", "0"], "--graphs must be >= 1"),
+    (["--preset", "planted", "--p-in", "2", "--p-out", "0.1"], "p_in <= 1"),
+    (["--preset", "lancichinetti", "--mixing", "1.5"], "mixing must lie in [0, 1)"),
+    (["--preset", "lancichinetti", "--runs", "1"], "--runs must be >= 2"),
+])
+def test_bench_checks_design_before_drawing(tmp_path, capsys, monkeypatch, flags, message):
+    # a bad knob is an error of the whole design, not a failed run: it must
+    # be refused before the first graph is drawn
+    def no_draw(config):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(cli, "planted_partition", no_draw)
+    monkeypatch.setattr(cli, "lancichinetti", no_draw)
+    rc = dispatch(["bench", "--output-dir", str(tmp_path)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_config_file(tmp_path, capsys):

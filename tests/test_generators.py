@@ -10,7 +10,7 @@ from graphforge.generators import (
     lancichinetti,
     planted_partition,
 )
-from graphforge.graph import degree_vector
+from graphforge.graph import Graph, degree_vector
 
 
 def test_planted_extremes_give_disjoint_cliques():
@@ -19,6 +19,24 @@ def test_planted_extremes_give_disjoint_cliques():
     assert g.num_edges == 12
     assert part.assignment == (0, 0, 0, 0, 1, 1, 1, 1)
     assert modularity(g, part) == pytest.approx(0.5, abs=1e-12)
+
+
+def former_planted_graph(config):
+    """The planted draw as it was built before: the hits go through
+    `Graph.from_edges` as Python pairs instead of straight into `Graph`."""
+    n = config.n
+    labels = np.arange(n) // (n // config.communities)
+    rng = np.random.default_rng(config.seed)
+    rows, cols = np.triu_indices(n, k=1)
+    p = np.where(labels[rows] == labels[cols], config.p_in, config.p_out)
+    hit = rng.random(rows.shape[0]) < p
+    return Graph.from_edges(n, zip(rows[hit].tolist(), cols[hit].tolist()))
+
+
+@pytest.mark.parametrize("n, communities", [(128, 4), (2000, 4), (500, 5), (7, 7), (1, 1)])
+def test_planted_graph_matches_former_build(n, communities):
+    cfg = PlantedPartitionConfig(n=n, communities=communities, p_in=0.3, p_out=0.01, seed=n)
+    assert planted_partition(cfg)[0] == former_planted_graph(cfg)
 
 
 def test_planted_no_signal_is_erdos_renyi():
