@@ -24,6 +24,7 @@ from .evaluate import (
     compare,
     dcsbm_strategy,
     dv_attack,
+    modularity_ratio,
     normalization_study,
     run_experiment,
     sgf_strategy,

@@ -22,6 +22,7 @@ from .evaluate import (
     dv_attack,
     experiment_csv,
     format_value,
+    modularity_ratio,
     random_guess_rate,
     run_experiment,
     seed_from,
@@ -116,29 +117,52 @@ def _parse_strategies(spec: str, rule: str, logistic_k: float, transformation: s
     return out
 
 
+# the generator flags each preset reads; a preset refuses any other
+_PRESET_FLAGS = {
+    "girvan": ("p_in", "p_out"),
+    "planted": ("nodes", "communities", "p_in", "p_out"),
+    "lancichinetti": ("nodes", "mean_degree", "mean_community_size", "mixing"),
+}
+
+
 def _preset_dataset(args) -> Dataset:
-    """Draw the preset's graphs from one config, checked before any draw."""
+    """Draw the preset's graphs from one config, checked before any draw.
+
+    A generator flag the preset does not read is an error, so that no design
+    records a parameter that was not run; unset flags take the preset's
+    defaults here.
+    """
+    if args.preset not in _PRESET_FLAGS:
+        raise ValueError(f"unknown preset {args.preset!r}")
+    reads = _PRESET_FLAGS[args.preset]
+    for key in sorted({key for keys in _PRESET_FLAGS.values() for key in keys} - set(reads)):
+        if getattr(args, key) is not None:
+            raise ValueError(
+                f"preset {args.preset!r} does not take --{key.replace('_', '-')} "
+                f"(it reads {', '.join('--' + k.replace('_', '-') for k in reads)})")
+
+    def flag(key, default):
+        value = getattr(args, key)
+        return default if value is None else value
+
     if args.preset == "girvan":
         generate = planted_partition
         cfg = PlantedPartitionConfig(
             n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES,
-            p_in=args.p_in if args.p_in is not None else GIRVAN_P_IN,
-            p_out=args.p_out if args.p_out is not None else GIRVAN_P_OUT)
+            p_in=flag("p_in", GIRVAN_P_IN), p_out=flag("p_out", GIRVAN_P_OUT))
     elif args.preset == "planted":
         if args.p_in is None or args.p_out is None:
             raise ValueError("preset 'planted' requires --p-in and --p-out")
         generate = planted_partition
         cfg = PlantedPartitionConfig(
-            n=args.nodes if args.nodes is not None else 128,
-            communities=args.communities, p_in=args.p_in, p_out=args.p_out)
-    elif args.preset == "lancichinetti":
+            n=flag("nodes", 128), communities=flag("communities", 4),
+            p_in=args.p_in, p_out=args.p_out)
+    else:
         generate = lancichinetti
         cfg = LancichinettiConfig(
-            n=args.nodes if args.nodes is not None else 1000,
-            mean_degree=args.mean_degree, mean_community_size=args.mean_community_size,
-            mixing=args.mixing)
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
+            n=flag("nodes", 1000), mean_degree=flag("mean_degree", 16.0),
+            mean_community_size=flag("mean_community_size", 64.0),
+            mixing=flag("mixing", 0.1))
     graphs = tuple(generate(replace(cfg, seed=seed_from(args.seed, 100, i)))[0]
                    for i in range(args.graphs))
     return Dataset(name=args.preset, graphs=graphs)
@@ -185,9 +209,9 @@ def _cmd_sweep(args) -> int:
         rates: list[float] = []
         for run in range(args.runs):
             out = dist.sample(seed_from(args.seed, ai, run, 0))
-            report = compare(graph, out, seed_from(args.seed, ai, run, 1))
-            if report.modularity_ratio is not None:
-                ratios.append(report.modularity_ratio)
+            run_ratio = modularity_ratio(graph, out, seed_from(args.seed, ai, run, 1))
+            if run_ratio is not None:
+                ratios.append(run_ratio)
             rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(args.seed, ai, run, 2))))
         ratio = sum(ratios) / len(ratios) if ratios else None
         rate = sum(rates) / len(rates)
@@ -292,14 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--graphs", type=int, default=10, help="graphs per preset dataset")
     forge_options(p)
+    # preset generator flags; each preset refuses those it does not read
     p.add_argument("--nodes", type=int, default=None,
                    help="node count for planted (default 128) / lancichinetti (default 1000)")
-    p.add_argument("--communities", type=int, default=4)
-    p.add_argument("--p-in", type=float, default=None, dest="p_in")
-    p.add_argument("--p-out", type=float, default=None, dest="p_out")
-    p.add_argument("--mean-degree", type=float, default=16.0)
-    p.add_argument("--mean-community-size", type=float, default=64.0)
-    p.add_argument("--mixing", type=float, default=0.1)
+    p.add_argument("--communities", type=int, default=None, help="planted only (default 4)")
+    p.add_argument("--p-in", type=float, default=None, dest="p_in",
+                   help="girvan (default 14/31) / planted (required)")
+    p.add_argument("--p-out", type=float, default=None, dest="p_out",
+                   help="girvan (default 2/96) / planted (required)")
+    p.add_argument("--mean-degree", type=float, default=None,
+                   help="lancichinetti only (default 16)")
+    p.add_argument("--mean-community-size", type=float, default=None,
+                   help="lancichinetti only (default 64)")
+    p.add_argument("--mixing", type=float, default=None, help="lancichinetti only (default 0.1)")
     p.add_argument("--config", help="JSON experiment-design file; its values take precedence")
     # _apply_config_file checks each config value against its flag's type
     p.set_defaults(config_types={action.dest: action.type or str for action in p._actions

@@ -10,6 +10,7 @@ oracle for small graphs.
 from __future__ import annotations
 
 import math
+from collections import _count_elements  # the C loop behind Counter.update
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,31 @@ def modularity(graph: Graph, partition: Partition) -> float:
     return float(intra_ordered / total - np.sum(comm_degree**2) / total**2)
 
 
-def _local_moves(adj, node_degree, comm_degree, comm, two_m, rng):
+def _sorted_best(w_to, a, stay_score, comm_degree, two_ki, two_m, two_m_sq):
+    """The sequential rule: scan candidates by ascending id and take each one
+    whose gain beats the best so far by more than eps, starting from the stay
+    in community a at gain 0; returns (community, gain, score)."""
+    best = a, 0.0, stay_score
+    for c in sorted(w_to):
+        score = 2.0 * w_to[c] / two_m - two_ki * comm_degree[c] / two_m_sq
+        gain = score - stay_score
+        if gain > best[1] + _MOVE_EPS:
+            best = c, gain, score
+    return best
+
+
+def _local_moves(nbrs, node_degree, comm_degree, comm, two_m, rng):
     """One level of gain-driven single-node moves; returns True if any node moved.
+
+    nbrs[i] lists each neighbour of i once per unit of edge weight, and
+    comm_degree is indexed by community id. A visit makes the move of the
+    sequential rule (`_sorted_best`) from one unordered scan: it finds the
+    top score (lowest id among equal floats, the stay winning its own ties),
+    the best score strictly below it and the multiset second. Candidates
+    before the top in id order score at most the one below it, so when the
+    top's gain beats both 0 and that score's gain by more than eps, the rule
+    picks the top; when the stay is on top, or the top gains at most eps, it
+    stays. Only a nearer tie replays the sorted rule.
 
     A visit is skipped when its outcome is already fixed. When node i is
     placed, its community's score leads every other score s of i by a
@@ -87,12 +111,15 @@ def _local_moves(adj, node_degree, comm_degree, comm, two_m, rng):
     set) and the degree moved since, `shifted` minus its value at
     placement, stays below (M - 2 eps) |K|^2 / (4 k_i), every gain a visit
     would compute is below -eps and i would stay. A stay leaves
-    comm_degree exactly as it was (degrees and weights are integer-valued
-    floats), so skipping changes no move, no pass gain and no RNG draw.
+    comm_degree exactly as it was (degrees are integer-valued floats), so
+    skipping changes no move, no pass gain and no RNG draw.
     """
-    n = len(adj)
+    n = len(nbrs)
     moved_any = False
     two_m_sq = two_m**2
+    community_of = comm.__getitem__
+    # 2 w / |K| for each weight a visit can count: the floats `_sorted_best` computes
+    weight_score = [2.0 * w / two_m for w in range(max(map(len, nbrs), default=0) + 1)]
     shifted = 0.0  # summed degree of the nodes moved so far in this level
     deadline = [-1.0] * n  # visit i is skipped while shifted < deadline[i]
     while True:
@@ -103,37 +130,45 @@ def _local_moves(adj, node_degree, comm_degree, comm, two_m, rng):
             a = comm[i]
             ki = node_degree[i]
             two_ki = 2.0 * ki
-            w_to: dict[int, float] = {}
-            for j, w in adj[i].items():
-                cj = comm[j]
-                w_to[cj] = w_to.get(cj, 0.0) + w
+            w_to: dict[int, int] = {}
+            _count_elements(w_to, map(community_of, nbrs[i]))
             comm_degree[a] -= ki
-            stay_score = 2.0 * w_to.get(a, 0.0) / two_m - two_ki * comm_degree[a] / two_m_sq
-            best_c, best_gain, best_score = a, 0.0, stay_score
-            top1, top2 = stay_score, -math.inf
-            for c in sorted(w_to):
-                if c == a:
-                    continue
-                score = 2.0 * w_to[c] / two_m - two_ki * comm_degree[c] / two_m_sq
-                gain = score - stay_score
-                if gain > best_gain + _MOVE_EPS:
-                    best_c, best_gain, best_score = c, gain, score
-                if score > top1:
-                    top1, top2 = score, top1
-                elif score > top2:
-                    top2 = score
+            stay_score = weight_score[w_to.pop(a, 0)] - two_ki * comm_degree[a] / two_m_sq
+            top, top_c = stay_score, a
+            below = second = -math.inf
+            for c, w in w_to.items():
+                score = weight_score[w] - two_ki * comm_degree[c] / two_m_sq
+                if score > top:
+                    below = second = top
+                    top, top_c = score, c
+                elif score == top:
+                    second = top
+                    if top_c != a and c < top_c:
+                        top_c = c
+                elif score > below:
+                    below = score
+                    if score > second:
+                        second = score
+            top_gain = top - stay_score
+            if top_c == a or top_gain <= _MOVE_EPS:
+                best_c, best_gain, best_score = a, 0.0, stay_score
+            elif top_gain > max(below - stay_score, 0.0) + _MOVE_EPS:
+                best_c, best_gain, best_score = top_c, top_gain, top
+            else:
+                best_c, best_gain, best_score = _sorted_best(
+                    w_to, a, stay_score, comm_degree, two_ki, two_m, two_m_sq)
             comm[i] = best_c
             comm_degree[best_c] += ki
             if best_c != a:
                 moved_any = True
                 pass_gain += best_gain
                 shifted += ki
-                for j in adj[i]:
+                for j in nbrs[i]:
                     deadline[j] = -1.0
             if ki == 0.0:
                 deadline[i] = math.inf  # no neighbours and every score 0: it never moves
-            elif best_score == top1 and top1 - top2 > 2.0 * _MOVE_EPS:
-                deadline[i] = shifted + (top1 - top2 - 2.0 * _MOVE_EPS) * two_m_sq / (4.0 * ki)
+            elif best_score == top and top - second > 2.0 * _MOVE_EPS:
+                deadline[i] = shifted + (top - second - 2.0 * _MOVE_EPS) * two_m_sq / (4.0 * ki)
             else:
                 deadline[i] = -1.0
         if pass_gain < _GAIN_EPS:
@@ -141,56 +176,49 @@ def _local_moves(adj, node_degree, comm_degree, comm, two_m, rng):
     return moved_any
 
 
-def _aggregate(adj, node_degree, comm):
+def _aggregate(nbrs, node_degree, comm):
     """Collapse communities into nodes of a weighted graph, preserving degree sums.
 
     Intra-community weight folds into the collapsed node's degree (already
-    counted in node_degree sums), so only inter-community weights need edges.
+    counted in node_degree sums), so only inter-community weights need
+    edges: a collapsed node lists a neighbour once per unit of weight.
+    Returns the new lists and degrees and each old node's new id.
     """
-    ids = sorted(set(comm))
-    dense = {c: idx for idx, c in enumerate(ids)}
-    m = len(ids)
-    new_adj: list[dict[int, float]] = [{} for _ in range(m)]
-    new_degree = [0.0] * m
-    for i, c in enumerate(comm):
-        new_degree[dense[c]] += node_degree[i]
-    for i in range(len(adj)):
-        for j, w in adj[i].items():
-            if j <= i:
-                continue
-            ci, cj = dense[comm[i]], dense[comm[j]]
-            if ci != cj:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_degree, dense
+    dense = {c: idx for idx, c in enumerate(sorted(set(comm)))}
+    lab = [dense[c] for c in comm]
+    new_nbrs: list[list[int]] = [[] for _ in dense]
+    new_degree = [0.0] * len(dense)
+    for i, li in enumerate(lab):
+        new_degree[li] += node_degree[i]
+        new_nbrs[li] += [lj for lj in map(lab.__getitem__, nbrs[i]) if lj != li]
+    return new_nbrs, new_degree, lab
 
 
-def _louvain_single(adj, node_degree, two_m, rng) -> list[int]:
-    """One seeded multilevel pass; reads adj and node_degree without changing them."""
-    n = len(adj)
-    labels = list(range(n))
+def _louvain_single(nbrs, node_degree, two_m, rng) -> list[int]:
+    """One seeded multilevel pass; reads nbrs and node_degree without changing them."""
+    labels = list(range(len(nbrs)))
     while True:
-        comm = list(range(len(adj)))
-        comm_degree = {c: node_degree[c] for c in comm}
-        moved = _local_moves(adj, node_degree, comm_degree, comm, two_m, rng)
+        comm = list(range(len(nbrs)))
+        moved = _local_moves(nbrs, node_degree, list(node_degree), comm, two_m, rng)
         if not moved:
             break
-        adj, node_degree, dense = _aggregate(adj, node_degree, comm)
-        labels = [dense[comm[labels[v]]] for v in range(n)]
-        if len(adj) == 1:
+        nbrs, node_degree, lab = _aggregate(nbrs, node_degree, comm)
+        labels = [lab[v] for v in labels]
+        if len(nbrs) == 1:
             break
     return labels
 
 
-def _chain_refine(adj, node_degree, two_m, labels):
+def _chain_refine(nbrs, node_degree, two_m, labels):
     """Kernighan-Lin style escape from single-move local optima.
 
     Repeatedly builds a chain of locked best single-node moves (negative
     gains allowed mid-chain), then keeps the best prefix. Deterministic:
     ties break toward the lowest node, then the lowest community id.
     """
-    n = len(adj)
+    n = len(nbrs)
     labels = list(labels)
+    label_of = labels.__getitem__
     comm_degree: dict[int, float] = {}
     for i, c in enumerate(labels):
         comm_degree[c] = comm_degree.get(c, 0.0) + node_degree[i]
@@ -209,10 +237,8 @@ def _chain_refine(adj, node_degree, two_m, labels):
                     continue
                 a = labels[i]
                 ki = node_degree[i]
-                w_to: dict[int, float] = {}
-                for j, w in adj[i].items():
-                    cj = labels[j]
-                    w_to[cj] = w_to.get(cj, 0.0) + w
+                w_to: dict[int, int] = {}
+                _count_elements(w_to, map(label_of, nbrs[i]))
                 stay = 2.0 * w_to.get(a, 0.0) / two_m \
                     - 2.0 * ki * (comm_degree[a] - ki) / two_m**2
                 targets = set(w_to)
@@ -267,16 +293,16 @@ def louvain_maximize(graph: Graph, rng_seed: int):
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
     refine = graph.n <= _REFINE_MAX_NODES
-    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbor_lists()]
+    nbrs = graph.neighbor_lists()
     node_degree = degree_vector(graph).astype(float).tolist()
     two_m = float(sum(node_degree))
     seeds = np.random.SeedSequence(entropy=int(rng_seed)).spawn(_RESTARTS)
     best_partition = None
     best_q = -np.inf
     for child in seeds:
-        labels = _louvain_single(adj, node_degree, two_m, np.random.default_rng(child))
+        labels = _louvain_single(nbrs, node_degree, two_m, np.random.default_rng(child))
         if refine:
-            labels = _chain_refine(adj, node_degree, two_m, labels)
+            labels = _chain_refine(nbrs, node_degree, two_m, labels)
         partition = Partition.from_labels(labels)
         q = modularity(graph, partition)
         if q > best_q + _MOVE_EPS:
@@ -284,22 +310,30 @@ def louvain_maximize(graph: Graph, rng_seed: int):
     return best_partition, best_q
 
 
-def _set_partitions(n: int):
-    """All set partitions of 0..n-1 as restricted-growth label tuples."""
-    if n == 0:
-        yield ()
-        return
-    labels = [0] * n
+def _restricted_growth_blocks(n: int, max_rows: int = 1 << 16):
+    """Every restricted-growth string of length n >= 1, in lexicographic order.
 
-    def rec(pos: int, mx: int):
-        if pos == n:
-            yield tuple(labels)
+    Each string labels the nodes 0..n-1 by first appearance, so the strings
+    are the set partitions, once each. They come as int8 row blocks of at
+    most max_rows rows: a block whose next column would exceed that is split
+    in two, and row r's children (labels 0..max(r)+1) stay adjacent and in
+    order, which keeps the whole sequence lexicographic.
+    """
+    def expand(strings, top):
+        if strings.shape[1] == n:
+            yield strings
             return
-        for c in range(mx + 2):
-            labels[pos] = c
-            yield from rec(pos + 1, max(mx, c))
+        counts = top.astype(np.int64) + 2
+        if counts.sum() > max_rows and len(strings) > 1:
+            half = len(strings) // 2
+            yield from expand(strings[:half], top[:half])
+            yield from expand(strings[half:], top[half:])
+            return
+        parent = np.repeat(np.arange(len(strings)), counts)
+        label = (np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.int8)
+        yield from expand(np.column_stack([strings[parent], label]), np.maximum(top[parent], label))
 
-    yield from rec(1, 0)
+    yield from expand(np.zeros((1, 1), np.int8), np.zeros(1, np.int8))
 
 
 def brute_force_max_modularity(graph: Graph):
@@ -307,6 +341,12 @@ def brute_force_max_modularity(graph: Graph):
 
     Guarded to n <= 12 (Bell-number blowup). Returns (partition, q_star);
     ties keep the first partition in restricted-growth enumeration order.
+
+    Each partition is scored by the integer numerator of q = N / |K|^2,
+    N = 2 |K| intra - sum_c K_c^2. Distinct q differ by at least
+    1/|K|^2 >= 1/132^2 for n <= 12, far above the 1e-12 tie tolerance, so
+    the first maximal N is the partition a running best over float q keeps;
+    its q is then computed by the float formula of that scan.
     """
     if graph.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
@@ -317,13 +357,20 @@ def brute_force_max_modularity(graph: Graph):
     if total == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
     edges = graph.sorted_edges()
-    k = degrees.astype(float)
     best_labels = None
-    best_q = -np.inf
-    for labels in _set_partitions(graph.n):
-        intra_ordered = 2 * sum(1 for i, j in edges if labels[i] == labels[j])
-        comm_degree = np.bincount(labels, weights=k)
-        q = intra_ordered / total - np.sum(comm_degree**2) / total**2
-        if q > best_q + _MOVE_EPS:
-            best_labels, best_q = labels, q
-    return Partition.from_labels(best_labels), float(best_q)
+    best_numerator = -math.inf
+    for block in _restricted_growth_blocks(graph.n):
+        intra = np.zeros(len(block), np.int64)
+        for i, j in edges:
+            intra += block[:, i] == block[:, j]
+        numerator = 2 * total * intra
+        for c in range(graph.n):
+            comm_degree = (block == c) @ degrees
+            numerator -= comm_degree * comm_degree
+        row = int(np.argmax(numerator))
+        if numerator[row] > best_numerator:
+            best_labels, best_numerator = tuple(block[row].tolist()), int(numerator[row])
+    intra_ordered = 2 * sum(1 for i, j in edges if best_labels[i] == best_labels[j])
+    comm_degree = np.bincount(best_labels, weights=degrees.astype(float))
+    q = intra_ordered / total - np.sum(comm_degree**2) / total**2
+    return Partition.from_labels(best_labels), float(q)

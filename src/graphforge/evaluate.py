@@ -60,6 +60,30 @@ class MetricsReport:
         return items
 
 
+def _maximized(input_graph: Graph, output_graph: Graph, rng_seed: int):
+    """(modularity ratio, input community count, output community count).
+
+    Both graphs are maximized with the same Louvain seed. An edgeless output
+    scores Q* = 0 with every node in its own community; the ratio is None
+    when the input's Q* is 0.
+    """
+    if input_graph.n != output_graph.n:
+        raise ValueError("input and output graphs must have the same node count")
+    louvain_seed = seed_from(rng_seed, 0)
+    part_in, q_in = louvain_maximize(input_graph, louvain_seed)
+    if output_graph.num_edges > 0:
+        part_out, q_out = louvain_maximize(output_graph, louvain_seed)
+        m_out = part_out.m
+    else:
+        q_out, m_out = 0.0, output_graph.n
+    return (None if abs(q_in) < 1e-12 else q_out / q_in), part_in.m, m_out
+
+
+def modularity_ratio(input_graph: Graph, output_graph: Graph, rng_seed: int) -> float | None:
+    """Q*_out / Q*_in, the modularity_ratio field of compare(input, output, rng_seed)."""
+    return _maximized(input_graph, output_graph, rng_seed)[0]
+
+
 def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsReport:
     """All paired metrics for one (input, output) pair.
 
@@ -67,19 +91,8 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsRe
     compare(g, g, seed) returns exact 1 ratios. The output inherits the
     input's attributes by index for the attribute rows.
     """
-    if input_graph.n != output_graph.n:
-        raise ValueError("input and output graphs must have the same node count")
-    louvain_seed = seed_from(rng_seed, 0)
-
-    part_in, q_in = louvain_maximize(input_graph, louvain_seed)
-    if output_graph.num_edges > 0:
-        part_out, q_out = louvain_maximize(output_graph, louvain_seed)
-        m_out = part_out.m
-    else:
-        q_out, m_out = 0.0, output_graph.n
-
-    mod_ratio = None if abs(q_in) < 1e-12 else q_out / q_in
-    part_ratio = m_out / part_in.m
+    mod_ratio, m_in, m_out = _maximized(input_graph, output_graph, rng_seed)
+    part_ratio = m_out / m_in
 
     clust_in = average_clustering(input_graph)
     clust_out = average_clustering(output_graph)

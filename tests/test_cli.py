@@ -175,6 +175,37 @@ def test_bench_checks_design_before_drawing(tmp_path, capsys, monkeypatch, flags
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, design", [
+    (["--preset", "girvan", "--nodes", "64"], None),
+    (["--preset", "girvan", "--communities", "2"], None),
+    (["--preset", "lancichinetti", "--communities", "2"], None),
+    (["--preset", "lancichinetti", "--p-in", "0.5"], None),
+    (["--preset", "planted", "--p-in", "0.5", "--p-out", "0.1", "--mixing", "0.2"], None),
+    ([], {"preset": "girvan", "nodes": 64}),
+    ([], {"preset": "lancichinetti", "communities": 2}),
+    ([], {"preset": "lancichinetti", "p_in": 0.5, "p_out": 0.1}),
+])
+def test_bench_refuses_flags_the_preset_does_not_read(tmp_path, capsys, monkeypatch,
+                                                      flags, design):
+    # a design that names a parameter its preset ignores would record a
+    # parameter that was not run
+    def no_draw(config):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(cli, "planted_partition", no_draw)
+    monkeypatch.setattr(cli, "lancichinetti", no_draw)
+    out_dir = tmp_path / "out"
+    if design is not None:
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps(design))
+        flags = flags + ["--config", str(design_path)]
+    rc = dispatch(["bench", "--output-dir", str(out_dir)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not take" in err
+    assert not out_dir.exists()
+
+
 def test_bench_config_file(tmp_path, capsys):
     cfg = {"preset": "planted", "nodes": 32, "communities": 2, "p_in": 0.5,
            "p_out": 0.05, "graphs": 2, "runs": 2, "strategies": "sgf:1",

@@ -1,18 +1,26 @@
-"""Property tests: the fitted spectral model and the attack's greedy matching.
+"""Property tests: the fitted spectral model, the modularity ratio and the
+attack's greedy matching.
 
 `fit(...).at(...).probabilities` is compared exactly with
 `edge_probabilities` and with the public `normalize` (which symmetrizes its
 input's image) and checked to be a valid probability matrix; alpha = 1 with
 the truncate rule reproduces random inputs; the blocked greedy matcher is
 compared exactly with the one-pair-at-a-time walk it replaced.
+`modularity_ratio`, which `sweep` writes, equals the field `compare` reports.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphforge.evaluate import AttackConfig, _greedy_match_hits, dv_attack
+from graphforge.evaluate import (
+    AttackConfig,
+    _greedy_match_hits,
+    compare,
+    dv_attack,
+    modularity_ratio,
+)
 from graphforge.forge import (
     DEFAULT_LOGISTIC_K,
     NORMALIZATION_RULES,
@@ -117,3 +125,28 @@ def test_dv_attack_rate_in_unit_interval(data, seed_fraction, seed):
     anonymized = data.draw(graphs(min_n=original.n, max_n=original.n))
     rate = dv_attack(original, anonymized, AttackConfig(seed_fraction=seed_fraction, seed=seed))
     assert 0.0 <= rate <= 1.0
+
+
+@st.composite
+def graph_pairs(draw):
+    """An input with at least one edge and an output on the same nodes,
+    possibly edgeless."""
+    g = draw(graphs(min_n=2, min_edges=1))
+    node = st.integers(0, g.n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    return g, Graph.from_edges(g.n, draw(st.lists(pair, max_size=3 * g.n)))
+
+
+@PROPERTY_SETTINGS
+@given(graph_pairs(), st.integers(0, 2**32 - 1))
+# a single edge has Q* = 0, so its ratio is None
+@example((Graph.from_edges(2, [(0, 1)]), Graph.from_edges(2, [])), 0)
+@example((Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [])), 1)
+def test_modularity_ratio_is_compares_field(pair, seed):
+    g, out = pair
+    ratio = modularity_ratio(g, out, seed)
+    assert ratio == compare(g, out, seed).modularity_ratio
+    if g.num_edges == 1:
+        assert ratio is None
+    elif out.num_edges == 0 and ratio is not None:
+        assert ratio == 0.0
