@@ -10,9 +10,8 @@ of the outputs tracks the input; low alpha randomizes it away.
 import numpy as np
 
 from graphforge import (
-    ForgeConfig,
     PlantedPartitionConfig,
-    forge,
+    fit,
     louvain_maximize,
     planted_partition,
 )
@@ -26,10 +25,13 @@ print(f"input: {graph.n} nodes, {graph.num_edges} edges, "
 print()
 print("alpha   mean Q*_out   modularity ratio")
 
+# one eigendecomposition serves every alpha and seed
+model = fit(graph)
 for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+    forged = model.at(alpha, rule="truncate")
     q_outs = []
     for run in range(5):
-        out = forge(graph, ForgeConfig(alpha=alpha, rule="truncate", seed=100 * run + 1))
+        out = forged.sample(seed=100 * run + 1)
         _, q_out = louvain_maximize(out, rng_seed=1)
         q_outs.append(q_out)
     mean_q = float(np.mean(q_outs))
@@ -37,5 +39,5 @@ for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
 
 print()
 print("alpha = 1.0 with the truncate rule reproduces the input exactly:")
-clone = forge(graph, ForgeConfig(alpha=1.0, rule="truncate", seed=5))
+clone = model.at(1.0, rule="truncate").sample(seed=5)
 print(f"  identical edge sets: {clone.edges == graph.edges}")

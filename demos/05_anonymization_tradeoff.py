@@ -12,11 +12,10 @@ import numpy as np
 
 from graphforge import (
     AttackConfig,
-    ForgeConfig,
     PlantedPartitionConfig,
-    compare,
     dv_attack,
-    forge,
+    fit,
+    modularity_ratio,
     planted_partition,
 )
 from graphforge.evaluate import random_guess_rate
@@ -29,10 +28,13 @@ print(f"input: {graph.n} nodes, {graph.num_edges} edges; "
 print()
 print("alpha   attack success   modularity ratio")
 
+# one eigendecomposition serves every alpha and seed
+model = fit(graph)
 for alpha in (1.0, 0.9, 0.5, 0.25, 0.1):
+    forged = model.at(alpha)
     rates, ratios = [], []
     for trial in range(3):
-        out = forge(graph, ForgeConfig(alpha=alpha, seed=1000 * trial + 7))
+        out = forged.sample(seed=1000 * trial + 7)
         rates.append(dv_attack(graph, out, AttackConfig(seed_fraction=0.05, seed=trial)))
-        ratios.append(compare(graph, out, rng_seed=trial).modularity_ratio)
+        ratios.append(modularity_ratio(graph, out, rng_seed=trial))
     print(f"{alpha:5.2f}   {np.mean(rates):14.3f}   {np.mean(ratios):16.3f}")

@@ -60,10 +60,12 @@ class TrajanovskiConfig:
             )
 
 
-def _initial_graph(config: TrajanovskiConfig, rng) -> set[tuple[int, int]]:
+def _initial_graph(config: TrajanovskiConfig, rng) -> tuple[set[tuple[int, int]], np.ndarray]:
     """Spanning tree per community, chain of single inter-community links,
     then extra intra edges balanced across communities (minimizes the degree
-    imbalance penalty, which maximizes the fixed-partition modularity)."""
+    imbalance penalty, which maximizes the fixed-partition modularity).
+
+    Returns the edges and each community's degree sum."""
     sizes = _community_sizes(config.n, config.communities)
     blocks: list[list[int]] = []
     start = 0
@@ -115,7 +117,7 @@ def _initial_graph(config: TrajanovskiConfig, rng) -> set[tuple[int, int]]:
             a, b = free[int(rng.integers(len(free)))]
             add(a, b, c, c)
             used[c] += 1
-    return edges
+    return edges, np.array(comm_degree)
 
 
 class _EdgePools:
@@ -123,17 +125,17 @@ class _EdgePools:
 
     def __init__(self, edges, labels):
         self.labels = labels
-        self.edges = set(edges)
         self.intra: list[tuple[int, int]] = []
         self.inter: list[tuple[int, int]] = []
+        # every edge's index in its pool; its keys are the edge set
         self.pos: dict[tuple[int, int], int] = {}
-        for e in sorted(self.edges):
-            self._append(e)
+        for e in sorted(edges):
+            self.add(e)
 
     def _pool(self, e):
         return self.intra if self.labels[e[0]] == self.labels[e[1]] else self.inter
 
-    def _append(self, e):
+    def add(self, e):
         pool = self._pool(e)
         self.pos[e] = len(pool)
         pool.append(e)
@@ -148,11 +150,6 @@ class _EdgePools:
         if last != e:
             pool[idx] = last
             self.pos[last] = idx
-        self.edges.discard(e)
-
-    def add(self, e):
-        self.edges.add(e)
-        self._append(e)
 
 
 def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | None = None) -> Graph:
@@ -174,16 +171,11 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     rng = np.random.default_rng(config.seed)
     partition = community_skeleton_partition(config.n, config.communities)
     labels = partition.assignment
-    edges = _initial_graph(config, rng)
+    edges, comm_degree = _initial_graph(config, rng)
     total = 2.0 * config.num_edges
-
-    degree = np.zeros(config.n)
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    comm_degree = np.bincount(labels, weights=degree, minlength=config.communities).astype(float)
     ksq = float(np.sum(comm_degree**2))
-    intra = sum(1 for u, v in edges if labels[u] == labels[v])
+    # the chain links are the skeleton's only inter-community edges
+    intra = config.num_edges - (config.communities - 1)
     q = 2.0 * intra / total - ksq / total**2
     if q_history is not None:
         q_history.append(q)
@@ -211,7 +203,7 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
             ):
                 continue
             key = (u, v) if u < v else (v, u)
-            if key in pools.edges:
+            if key in pools.pos:
                 continue
             return key
         return None
@@ -248,7 +240,7 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
                     if w == keep or labels[w] == labels[keep]:
                         continue
                     key = (keep, w) if keep < w else (w, keep)
-                    if key in pools.edges:
+                    if key in pools.pos:
                         continue
                     candidate = (old, key)
                     break
@@ -282,7 +274,7 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
             f"rewiring stalled at fixed-partition modularity {q:.6f} "
             f"above target {config.q_target}"
         )
-    return Graph.from_edges(config.n, pools.edges)
+    return Graph.from_edges(config.n, pools.pos)
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,9 @@ def _parse_alphas(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise ValueError(f"grid {spec!r} needs a finite start, stop and step")
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        if step < 1e-9:
+            # every point is snapped to 9 decimals, so a finer step repeats alphas
+            raise ValueError(f"grid {spec!r} needs a step of at least 1e-9, the alpha resolution")
         if stop > 1.0 + 1e-9:
             raise ValueError(f"grid {spec!r} runs past alpha = 1")
         alphas = []

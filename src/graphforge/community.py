@@ -346,7 +346,7 @@ def brute_force_max_modularity(graph: Graph):
     N = 2 |K| intra - sum_c K_c^2. Distinct q differ by at least
     1/|K|^2 >= 1/132^2 for n <= 12, far above the 1e-12 tie tolerance, so
     the first maximal N is the partition a running best over float q keeps;
-    its q is then computed by the float formula of that scan.
+    its q is then scored by `modularity`.
     """
     if graph.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
@@ -370,7 +370,6 @@ def brute_force_max_modularity(graph: Graph):
         row = int(np.argmax(numerator))
         if numerator[row] > best_numerator:
             best_labels, best_numerator = tuple(block[row].tolist()), int(numerator[row])
-    intra_ordered = 2 * sum(1 for i, j in edges if best_labels[i] == best_labels[j])
-    comm_degree = np.bincount(best_labels, weights=degrees.astype(float))
-    q = intra_ordered / total - np.sum(comm_degree**2) / total**2
-    return Partition.from_labels(best_labels), float(q)
+    # a restricted-growth string is already a canonical partition
+    best = Partition(best_labels)
+    return best, modularity(graph, best)

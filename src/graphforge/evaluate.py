@@ -19,9 +19,9 @@ from scipy.spatial.distance import cdist
 
 from . import baselines, forge as forge_mod
 from .community import Partition, louvain_maximize, modularity
-from .forge import ForgeConfig, normalize, normalized_entropy
+from .forge import ForgeConfig, fit
 from .graph import Graph, average_clustering, degree_vector, require_dense_budget
-from .spectral import eigendecompose, low_rank_approx, spectral_norm
+from .spectral import low_rank_approx, spectral_norm
 
 # z-score for two-sided 99% confidence under the normal approximation
 Z_99 = 2.576
@@ -273,30 +273,29 @@ def normalization_study(labeled_graphs: Sequence[tuple[str, str, Graph]],
                         rules: Sequence[str] = forge_mod.NORMALIZATION_RULES) -> list[StudyRow]:
     """Distance and entropy of each normalization rule across an alpha grid.
 
-    Runs the adjacency-mode pipeline (the filter acts on A itself): for each
-    (graph, alpha, rule) reports the raw filter distance ||A - A~||_2, the
-    post-normalization distance ||A - norm(A~)||_2, and the normalized
-    entropy of the probability matrix. Rows where the scale rule degenerates
-    carry None for the normalized columns.
+    Runs the fitted adjacency-mode pipeline (the filter acts on A itself):
+    for each (graph, alpha, rule) reports the raw filter distance
+    ||A - A~||_2, the post-normalization distance ||A - P||_2 to the forged
+    probabilities P, and the normalized entropy of P. Rows where the scale
+    rule degenerates carry None for the normalized columns.
     """
     rows: list[StudyRow] = []
     for graph_id, family, graph in labeled_graphs:
         a = graph.adjacency()
-        eig = eigendecompose(a)
+        model = fit(graph, "adjacency")
         for alpha in alphas:
-            a_tilde = low_rank_approx(eig, alpha)
-            dist_spectral = spectral_norm(a - a_tilde)
+            dist_spectral = spectral_norm(a - low_rank_approx(model.eig, alpha))
             for rule in rules:
                 try:
-                    probs = normalize(a_tilde, rule)
+                    dist = model.at(alpha, rule)
                 except ValueError:
                     rows.append(StudyRow(graph_id, family, alpha, rule,
                                          dist_spectral, None, None))
                     continue
                 rows.append(StudyRow(
                     graph_id, family, alpha, rule, dist_spectral,
-                    spectral_norm(a - probs),
-                    normalized_entropy(probs).normalized,
+                    spectral_norm(a - dist.probabilities),
+                    dist.entropy().normalized,
                 ))
     return rows
 
@@ -351,27 +350,29 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
         raise ValueError("graphs must have the same node count")
     n = original.n
     if seeds is None:
-        rng = np.random.default_rng(config.seed)
         k = math.ceil(config.seed_fraction * n)
-        seed_nodes = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
     else:
         seed_nodes = sorted(set(int(s) for s in seeds))
         if any(s < 0 or s >= n for s in seed_nodes):
             raise ValueError("seed node out of range")
-    seed_set = set(seed_nodes)
-    non_seeds = [v for v in range(n) if v not in seed_set]
-    if not non_seeds:
+        k = len(seed_nodes)
+    width = n - k
+    if width == 0:
         return 1.0
-    if not seed_nodes:
+    if k == 0:
         raise ValueError("the attack needs at least one seed node")
-    width = len(non_seeds)
     # two seed-distance tables, then the squared pair distances and their
     # integer key (9 bytes a pair); in the walk, the argsort, the last
     # block's two index arrays and its mask (at most width^2 / 2 pairs,
     # 17 bytes each) peak higher (tracemalloc peak 0.96-1.00 of this
-    # estimate at n = 1000 and 2000, the same as with the float argsort)
-    require_dense_budget(n, 16 * len(seed_nodes) * n + 17 * width * width,
-                         "the distance-vector attack")
+    # estimate at n = 1000 and 2000, the same as with the float argsort).
+    # Checked before the seed draw, whose own arrays are of size n.
+    require_dense_budget(n, 16 * k * n + 17 * width * width, "the distance-vector attack")
+    if seeds is None:
+        rng = np.random.default_rng(config.seed)
+        seed_nodes = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
+    seed_set = set(seed_nodes)
+    non_seeds = [v for v in range(n) if v not in seed_set]
 
     sigs = [_seed_distances(graph, seed_nodes).T[non_seeds]
             for graph in (original, anonymized)]

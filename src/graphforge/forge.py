@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, degree_vector, require_dense_budget
+from .graph import Graph, degree_vector, require_dense_budget, sample_dyads
 from .spectral import (
     SYMMETRY_ATOL,
     EigenDecomposition,
@@ -163,16 +163,9 @@ class ForgedDistribution:
     probabilities: np.ndarray
 
     def sample(self, seed: int) -> Graph:
-        """Draw one graph. Reproducibility contract: one uniform draw per dyad
-        j > i, in row-major order, from a PCG64 generator seeded with `seed`."""
+        """Draw one graph, dyad by dyad, under the `sample_dyads` contract."""
         p = self.probabilities
-        n = p.shape[0]
-        rng = np.random.default_rng(seed)
-        rows, cols = np.triu_indices(n, k=1)
-        draws = rng.random(rows.shape[0])
-        hit = draws < p[rows, cols]
-        # triu_indices runs row-major over j > i, already the graph's edge order
-        return Graph(n, rows[hit], cols[hit])
+        return sample_dyads(p.shape[0], seed, lambda rows, cols: p[rows, cols])
 
     def entropy(self) -> EntropyReport:
         """Entropy of the distribution and its two normalizations."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import Partition
-from .graph import Graph
+from .graph import Graph, sample_dyads
 
 STUB_RETRY_LIMIT = 100
 
@@ -55,12 +55,8 @@ def planted_partition(config: PlantedPartitionConfig):
     n, m = config.n, config.communities
     size = n // m
     labels = np.arange(n) // size
-    rng = np.random.default_rng(config.seed)
-    rows, cols = np.triu_indices(n, k=1)
-    p = np.where(labels[rows] == labels[cols], config.p_in, config.p_out)
-    hit = rng.random(rows.shape[0]) < p
-    # triu_indices runs row-major over j > i, already the graph's edge order
-    graph = Graph(n, rows[hit], cols[hit])
+    graph = sample_dyads(n, config.seed, lambda rows, cols: np.where(
+        labels[rows] == labels[cols], config.p_in, config.p_out))
     return graph, Partition(assignment=tuple(int(c) for c in labels))
 
 

@@ -92,7 +92,7 @@ class Graph:
                 )
 
     @classmethod
-    def from_edges(cls, n, edges, attributes=None):
+    def from_edges(cls, n, edges):
         """Build a graph from any iterable of (i, j) pairs, normalizing orientation.
 
         Reversed and repeated pairs collapse to one edge.
@@ -107,8 +107,7 @@ class Graph:
         lo, hi = lo[order], hi[order]
         keep = np.ones(lo.size, dtype=bool)
         keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        attrs = {k: tuple(v) for k, v in (attributes or {}).items()}
-        return cls(n=n, rows=lo[keep], cols=hi[keep], attributes=attrs)
+        return cls(n=n, rows=lo[keep], cols=hi[keep])
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -178,6 +177,22 @@ class Graph:
         """Copy of this graph with the given attribute map (replaces any existing)."""
         attrs = {k: tuple(v) for k, v in (attributes or {}).items()}
         return Graph(self.n, self.rows, self.cols, attrs)
+
+
+def sample_dyads(n: int, seed: int, probability) -> Graph:
+    """Draw a graph on n nodes with independent dyads.
+
+    The reproducibility contract of every sampled graph: one uniform draw per
+    dyad j > i, in row-major order, from a PCG64 generator seeded with
+    `seed`; the dyad is an edge where its draw is below
+    `probability(rows, cols)`, evaluated on the dyads' index arrays.
+    """
+    rows, cols = np.triu_indices(n, k=1)
+    # the lookup's temporaries are freed before the draws are allocated
+    p = probability(rows, cols)
+    hit = np.random.default_rng(seed).random(rows.shape[0]) < p
+    # triu_indices runs row-major over j > i, already the graph's edge order
+    return Graph(n, rows[hit], cols[hit])
 
 
 def degree_vector(graph: Graph) -> np.ndarray:

@@ -229,3 +229,19 @@ def test_dcsbm_matches_former_group_build(n, groups, density, seed):
     part = Partition.from_labels(rng.integers(groups, size=n).tolist())
     cfg = replace(dcsbm_config_from(graph, part), seed=seed)
     assert dcsbm_generate(cfg) == former_dcsbm_generate(cfg)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_trajanovski_skeleton_q_equals_modularity(n, data, seed):
+    # the skeleton's q comes from the degree sums it was built with and the
+    # chain's m - 1 inter edges; it must equal the from-scratch score exactly
+    m = data.draw(st.integers(1, n), label="communities")
+    sizes = [n // m + (i < n % m) for i in range(m)]
+    capacity = sum(s * (s - 1) // 2 for s in sizes) + m - 1
+    num_edges = data.draw(st.integers(n - 1, capacity), label="num_edges")
+    cfg = TrajanovskiConfig(q_target=1.0, communities=m, n=n, num_edges=num_edges, seed=seed)
+    q_history = []
+    with pytest.warns(UserWarning, match="exceeds skeleton"):
+        skeleton = trajanovski_generate(cfg, q_history)
+    assert q_history == [_fixed_q(skeleton, n, m)]

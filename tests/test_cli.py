@@ -113,7 +113,11 @@ def test_sweep_csv_and_entropy_trend(tmp_path):
                                    ["--alphas", "nan:1:0.1"],
                                    # a grid past alpha = 1 would repeat alpha = 1
                                    ["--alphas", "0.5:1.5:0.5"],
-                                   ["--alphas", "0:1000:0.1"]])
+                                   ["--alphas", "0:1000:0.1"],
+                                   # a step below the 1e-9 snap repeats alphas,
+                                   # or never ends the grid
+                                   ["--alphas", "0:1e-8:1e-10"],
+                                   ["--alphas", "0:1:1e-12"]])
 def test_sweep_rejects_no_runs_and_empty_grid(tmp_path, clique_file, capsys, flags):
     path, _ = clique_file
     rc = dispatch(["sweep", "--input", str(path), "--output-dir", str(tmp_path)] + flags)
@@ -238,20 +242,23 @@ def test_unknown_strategy_reports_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["generate", "--alpha", "0.5"],
-    ["attack", "--generated", "{input}"],
+    (200000, ["generate", "--alpha", "0.5"]),
+    (200000, ["attack", "--generated", "{input}"]),
+    # at 10^12 nodes even the attack's seed draw would exhaust memory
+    (10**12, ["attack", "--generated", "{input}"]),
 ])
 def test_oversized_dense_work_fails_fast(tmp_path, capsys, command):
     # n^2 float64 arrays at n = 200000 are hundreds of GB: the program must
     # refuse before allocating any of them
+    nodes, template = command
     path = tmp_path / "huge.el"
-    path.write_text("#nodes 200000\n0 1\n")
-    argv = [arg.format(input=path) for arg in command]
+    path.write_text(f"#nodes {nodes}\n0 1\n")
+    argv = [arg.format(input=path) for arg in template]
     rc = dispatch([argv[0], "--input", str(path), *argv[1:], "--output-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "n = 200000" in err and "bytes" in err
+    assert f"n = {nodes}" in err and "bytes" in err
     assert not (tmp_path / "generated.el").exists()
 
 

@@ -16,8 +16,15 @@ from graphforge.evaluate import (
     study_csv,
     trajanovski_strategy,
 )
-from graphforge.generators import PlantedPartitionConfig, planted_partition
+from graphforge.forge import normalize, normalized_entropy
+from graphforge.generators import (
+    PlantedPartitionConfig,
+    barabasi_albert,
+    erdos_renyi,
+    planted_partition,
+)
 from graphforge.graph import Graph
+from graphforge.spectral import eigendecompose, low_rank_approx, spectral_norm
 
 from conftest import disjoint_cliques, path_graph
 
@@ -167,6 +174,39 @@ def test_normalization_study_truncate_beats_scale(two_k4):
     by_key = {(r.alpha, r.rule): r for r in rows}
     for alpha in (0.3, 0.5, 0.7):
         assert by_key[(alpha, "truncate")].dist_normed <= by_key[(alpha, "scale")].dist_normed
+
+
+def former_normalization_study(labeled_graphs, alphas, rules):
+    """The study as it was built by hand from the spectral and forge steps."""
+    rows = []
+    for graph_id, family, graph in labeled_graphs:
+        a = graph.adjacency()
+        eig = eigendecompose(a)
+        for alpha in alphas:
+            a_tilde = low_rank_approx(eig, alpha)
+            dist_spectral = spectral_norm(a - a_tilde)
+            for rule in rules:
+                try:
+                    probs = normalize(a_tilde, rule)
+                except ValueError:
+                    rows.append((graph_id, family, alpha, rule, dist_spectral, None, None))
+                    continue
+                rows.append((graph_id, family, alpha, rule, dist_spectral,
+                             spectral_norm(a - probs), normalized_entropy(probs).normalized))
+    return rows
+
+
+def test_normalization_study_matches_former_pipeline():
+    graphs = [(f"er{i}", "er", erdos_renyi(30, 0.12, seed=i)) for i in range(3)]
+    graphs += [(f"ba{i}", "ba", barabasi_albert(30, 1.7, seed=i)) for i in range(3)]
+    alphas = [0.0, 0.15, 0.5, 0.85, 1.0]
+    rules = ("logistic", "truncate", "scale")
+    rows = normalization_study(graphs, alphas, rules)
+    former = former_normalization_study(graphs, alphas, rules)
+    assert [(r.graph, r.family, r.alpha, r.rule, r.dist_spectral, r.dist_normed, r.entropy)
+            for r in rows] == former
+    # alpha = 0 leaves the scale rule nothing to stretch
+    assert any(row[5] is None for row in former)
 
 
 def test_study_csv_format(two_k4):
