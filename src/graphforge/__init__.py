@@ -21,6 +21,8 @@ from .evaluate import (
     ExperimentRow,
     MetricsReport,
     Strategy,
+    SweepRow,
+    alpha_sweep,
     compare,
     dcsbm_strategy,
     dv_attack,

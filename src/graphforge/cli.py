@@ -17,12 +17,12 @@ from .evaluate import (
     AttackConfig,
     Dataset,
     Strategy,
+    alpha_sweep,
     compare,
     dcsbm_strategy,
     dv_attack,
     experiment_csv,
     format_value,
-    modularity_ratio,
     random_guess_rate,
     run_experiment,
     seed_from,
@@ -34,7 +34,6 @@ from .forge import (
     NORMALIZATION_RULES,
     TRANSFORMATIONS,
     ForgeConfig,
-    fit,
     forge,
 )
 from .generators import (
@@ -50,6 +49,10 @@ from .generators import (
 from .graph import Graph, load_attributes, load_edge_list, write_edge_list
 
 SWEEP_CSV_HEADER = "alpha,modularity_ratio,entropy,attack_rate"
+
+# the most alphas one sweep grid may hold; each is a fitted distribution and
+# --runs samples, so a larger grid is a mistyped step, not a study
+_MAX_GRID_POINTS = 100_000
 
 _CONFIG_KEYS = {"strategies", "preset", "runs", "graphs", "seed", "output_dir",
                 "nodes", "communities", "p_in", "p_out", "mean_degree",
@@ -83,17 +86,15 @@ def _parse_alphas(spec: str) -> list[float]:
             raise ValueError(f"grid {spec!r} needs a step of at least 1e-9, the alpha resolution")
         if stop > 1.0 + 1e-9:
             raise ValueError(f"grid {spec!r} runs past alpha = 1")
-        alphas = []
-        k = 0
-        while True:
-            a = round(start + k * step, 9)
-            if a > stop + 1e-9:
-                break
-            alphas.append(min(a, 1.0))
-            k += 1
-        if not alphas:
+        # stop is kept within 1e-9 or half a step, whichever is less, so a
+        # float error cannot drop it and a step near 1e-9 cannot pass it
+        count = math.floor((stop - start + min(1e-9, step / 2)) / step) + 1
+        if count < 1:
             raise ValueError(f"grid {spec!r} holds no alpha (start is above stop)")
-        return alphas
+        if count > _MAX_GRID_POINTS:
+            raise ValueError(f"grid {spec!r} has {count} points, more than the "
+                             f"{_MAX_GRID_POINTS} a sweep takes")
+        return [min(round(start + k * step, 9), 1.0) for k in range(count)]
     return [float(spec)]
 
 
@@ -191,33 +192,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # the decomposition depends on the input only and P on the input and
-    # alpha, so one fit serves the grid and one distribution per alpha gives
-    # the entropy and every run's sample
-    if args.runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     alphas = _parse_alphas(args.alphas)
-    configs = [ForgeConfig(alpha=alpha, rule=args.rule, logistic_k=args.logistic_k,
-                           transformation=args.transformation) for alpha in alphas]
-    attack = AttackConfig(seed_fraction=args.seed_fraction)
-    graph = _read_graph(args.input)
-    model = fit(graph, args.transformation)
+    rows = alpha_sweep(_read_graph(args.input), alphas, args.runs, args.seed,
+                       rule=args.rule, logistic_k=args.logistic_k,
+                       transformation=args.transformation, seed_fraction=args.seed_fraction)
     lines = [SWEEP_CSV_HEADER]
-    for ai, cfg in enumerate(configs):
-        dist = model.at(cfg.alpha, cfg.rule, cfg.logistic_k)
-        entropy = dist.entropy().normalized
-        ratios: list[float] = []
-        rates: list[float] = []
-        for run in range(args.runs):
-            out = dist.sample(seed_from(args.seed, ai, run, 0))
-            run_ratio = modularity_ratio(graph, out, seed_from(args.seed, ai, run, 1))
-            if run_ratio is not None:
-                ratios.append(run_ratio)
-            rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(args.seed, ai, run, 2))))
+    for row in rows:
+        ratios, rates = row.modularity_ratios, row.attack_rates
         ratio = sum(ratios) / len(ratios) if ratios else None
-        rate = sum(rates) / len(rates)
-        row = ",".join(format_value(v) for v in (ratio, entropy, rate))
-        lines.append(f"{cfg.alpha:g},{row}")
+        values = ",".join(format_value(v) for v in (ratio, row.entropy, sum(rates) / len(rates)))
+        lines.append(f"{row.alpha:g},{values}")
     _write_output(args.output_dir, "sweep.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -1,5 +1,9 @@
-"""Paired input/output metrics, the experiment harness, the normalization
-study, and the distance-vector de-anonymization attack.
+"""Paired input/output metrics, the experiment harness, the alpha sweep, the
+normalization study, and the distance-vector de-anonymization attack.
+
+The harness and the sweep run their independent cells through
+`_map_cells`, on every free core when the call is large enough, with the
+same results as a plain loop.
 
 Ratios compare a generated graph against its input: 1 means the property is
 preserved. Undefined ratios (zero denominators, zero-variance correlations)
@@ -10,8 +14,13 @@ number.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -19,8 +28,8 @@ from scipy.spatial.distance import cdist
 
 from . import baselines, forge as forge_mod
 from .community import Partition, louvain_maximize, modularity
-from .forge import ForgeConfig, fit
-from .graph import Graph, average_clustering, degree_vector, require_dense_budget
+from .forge import ForgeConfig, fit, forge_dense_bytes
+from .graph import Graph, average_clustering, degree_vector, dense_budget, require_dense_budget
 from .spectral import low_rank_approx, spectral_norm
 
 # z-score for two-sided 99% confidence under the normal approximation
@@ -36,6 +45,87 @@ def seed_from(*parts: int) -> int:
     """Deterministic 64-bit sub-seed from a tuple of integers."""
     ss = np.random.SeedSequence(entropy=list(parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+T = TypeVar("T")
+
+# calls whose cells score fewer graph nodes than this in total run in a loop:
+# below it a fork pool (~19 ms to start and close) was measured no faster
+# (girvan n = 128, 4 cells: 81 ms in the loop, 87 ms forked; n = 32, 8 cells:
+# 185 ms and 217 ms), above it faster (n = 128, 12 cells: 294 ms and 173 ms)
+_PARALLEL_MIN_NODES = 1000
+
+# the cell function of a forked worker, set by its initializer
+_worker_cell: Callable[[int], object] | None = None
+
+
+def _free_cores() -> int:
+    """Usable cores per thread a forked worker would run.
+
+    Native threads that Python did not start belong to a BLAS or OpenMP
+    pool; every worker starts that pool again, and its idle threads spin,
+    so each worker counts as that many threads plus its own. Without the
+    Linux affinity call or /proc, the cells run in the loop.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+        pools = len(os.listdir("/proc/self/task")) - threading.active_count()
+    except (AttributeError, OSError):
+        return 1
+    return cores // (1 + max(pools, 0))
+
+
+def _install_cell(cell: Callable[[int], object]) -> None:
+    global _worker_cell
+    _worker_cell = cell
+
+
+def _run_cell(index: int):
+    """One cell in a worker: (result, exception or None, its warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the parent's filters judge the re-emitted copies
+        try:
+            result, error = _worker_cell(index), None
+        except Exception as exc:  # noqa: BLE001 - re-raised by the parent in cell order
+            result, error = None, exc
+    if error is not None:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # noqa: BLE001 - an exception the pool could not carry back
+            error = RuntimeError(f"{type(error).__name__}: {error}")
+    return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _map_cells(cell: Callable[[int], T], count: int, nodes: int, cell_bytes: int) -> list[T]:
+    """[cell(i) for i in range(count)], on every free core when that pays.
+
+    `nodes` is the total node count of the graphs the cells score and
+    `cell_bytes` the dense-array peak of one cell. With two free cores (see
+    `_free_cores`), two cells, `nodes` >= _PARALLEL_MIN_NODES and room in
+    physical memory for two cells at once, the cells run in a "fork" pool
+    made for this call. Its workers inherit `cell` and all it reaches without
+    pickling, and each cell runs the serial code with the serial seeds, so
+    the results are the loop's. The pool has no more workers than cells fit
+    in memory at once, and is closed before this returns. Warnings raised in
+    the cells are re-emitted in cell order, and the first failing cell's
+    exception is raised after the warnings of the cells before it, as the
+    loop would.
+    """
+    workers = min(_free_cores(), count, dense_budget() // max(cell_bytes, 1))
+    if workers < 2 or nodes < _PARALLEL_MIN_NODES:
+        return [cell(i) for i in range(count)]
+    with multiprocessing.get_context("fork").Pool(workers, _install_cell, (cell,)) as pool:
+        outcomes = pool.map(_run_cell, range(count), chunksize=1)
+        pool.close()
+        pool.join()
+    results = []
+    for result, error, caught in outcomes:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
 
 
 @dataclass(frozen=True)
@@ -215,22 +305,39 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
     if runs_per_pair < 2:
         raise ValueError("runs_per_pair must be >= 2")
 
+    cells = [(si, di, gi, run) for si in range(len(strategies))
+             for di, dataset in enumerate(datasets)
+             for gi in range(len(dataset.graphs)) for run in range(runs_per_pair)]
+
+    def cell(index: int) -> MetricsReport | None:
+        si, di, gi, run = cells[index]
+        graph = datasets[di].graphs[gi]
+        try:
+            output = strategies[si].make(graph, seed_from(rng_seed, si, di, gi, run, 0))
+            return compare(graph, output, seed_from(rng_seed, si, di, gi, run, 1))
+        except Exception:  # noqa: BLE001 - strategy failures become rows
+            return None
+
+    graphs = [graph for dataset in datasets for graph in dataset.graphs]
+    for graph in graphs:
+        average_clustering(graph)  # fills the CSR and clustering caches the cells read
+    reports = iter(_map_cells(
+        cell, len(cells), len(strategies) * runs_per_pair * sum(g.n for g in graphs),
+        forge_dense_bytes(max((g.n for g in graphs), default=0))))
+
     rows: list[ExperimentRow] = []
-    for si, strategy in enumerate(strategies):
-        for di, dataset in enumerate(datasets):
+    for strategy in strategies:
+        for dataset in datasets:
             metric_values: dict[str, list[float]] = {}
             failures = 0
-            for gi, graph in enumerate(dataset.graphs):
-                for run in range(runs_per_pair):
-                    try:
-                        output = strategy.make(graph, seed_from(rng_seed, si, di, gi, run, 0))
-                        report = compare(graph, output, seed_from(rng_seed, si, di, gi, run, 1))
-                    except Exception:  # noqa: BLE001 - strategy failures become rows
-                        failures += 1
-                        continue
-                    for metric, value in report.as_items():
-                        if value is not None:
-                            metric_values.setdefault(metric, []).append(value)
+            for _ in range(len(dataset.graphs) * runs_per_pair):
+                report = next(reports)
+                if report is None:
+                    failures += 1
+                    continue
+                for metric, value in report.as_items():
+                    if value is not None:
+                        metric_values.setdefault(metric, []).append(value)
             for metric in sorted(metric_values):
                 mean, std, ci = _aggregate(metric_values[metric])
                 rows.append(ExperimentRow(strategy.name, dataset.name, metric,
@@ -335,6 +442,19 @@ def random_guess_rate(n: int, seed_fraction: float) -> float:
     return 1.0 / non_seeds if non_seeds > 0 else 1.0
 
 
+def _attack_dense_bytes(n: int, seeds: int) -> int:
+    """Estimated peak bytes of dense arrays of `dv_attack` with `seeds` seeds.
+
+    Two seed-distance tables, then the squared pair distances and their
+    integer key (9 bytes a pair); in the walk, the argsort, the last block's
+    two index arrays and its mask (at most width^2 / 2 pairs, 17 bytes each)
+    peak higher (tracemalloc peak 0.96-1.00 of this estimate at n = 1000 and
+    2000, the same as with the float argsort).
+    """
+    width = n - seeds
+    return 16 * seeds * n + 17 * width * width
+
+
 def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
               seeds: Sequence[int] | None = None) -> float:
     """Distance-vector re-identification rate between two aligned graphs.
@@ -361,13 +481,8 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
         return 1.0
     if k == 0:
         raise ValueError("the attack needs at least one seed node")
-    # two seed-distance tables, then the squared pair distances and their
-    # integer key (9 bytes a pair); in the walk, the argsort, the last
-    # block's two index arrays and its mask (at most width^2 / 2 pairs,
-    # 17 bytes each) peak higher (tracemalloc peak 0.96-1.00 of this
-    # estimate at n = 1000 and 2000, the same as with the float argsort).
-    # Checked before the seed draw, whose own arrays are of size n.
-    require_dense_budget(n, 16 * k * n + 17 * width * width, "the distance-vector attack")
+    # checked before the seed draw, whose own arrays are of size n
+    require_dense_budget(n, _attack_dense_bytes(n, k), "the distance-vector attack")
     if seeds is None:
         rng = np.random.default_rng(config.seed)
         seed_nodes = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
@@ -426,3 +541,54 @@ def _greedy_match_hits(order: np.ndarray, width: int) -> int:
         start += size
         size *= 2
     return hits
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One alpha of a sweep: the distribution's normalized entropy, and the
+    modularity ratio (where defined) and attack rate of each run's sample."""
+
+    alpha: float
+    entropy: float
+    modularity_ratios: tuple[float, ...]
+    attack_rates: tuple[float, ...]
+
+
+def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
+                rule: str = "truncate", logistic_k: float = forge_mod.DEFAULT_LOGISTIC_K,
+                transformation: str = "modularity",
+                seed_fraction: float = 0.05) -> list[SweepRow]:
+    """Utility, diversity and privacy of the forge across an alpha grid.
+
+    The decomposition depends on the input only and P on the input and
+    alpha, so one fit serves the grid, and one distribution per alpha gives
+    the entropy and every run's sample. Run `run` of alpha index `ai` samples
+    with seed_from(rng_seed, ai, run, 0), maximizes modularity with
+    seed_from(rng_seed, ai, run, 1) and attacks with seed_from(rng_seed, ai,
+    run, 2). Every knob is checked before the fit.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    configs = [ForgeConfig(alpha=alpha, rule=rule, logistic_k=logistic_k,
+                           transformation=transformation) for alpha in alphas]
+    attack = AttackConfig(seed_fraction=seed_fraction)
+    model = fit(graph, transformation)
+
+    def cell(ai: int) -> SweepRow:
+        cfg = configs[ai]
+        dist = model.at(cfg.alpha, cfg.rule, cfg.logistic_k)
+        entropy = dist.entropy().normalized
+        ratios: list[float] = []
+        rates: list[float] = []
+        for run in range(runs):
+            out = dist.sample(seed_from(rng_seed, ai, run, 0))
+            ratio = modularity_ratio(graph, out, seed_from(rng_seed, ai, run, 1))
+            if ratio is not None:
+                ratios.append(ratio)
+            rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(rng_seed, ai, run, 2))))
+        return SweepRow(cfg.alpha, entropy, tuple(ratios), tuple(rates))
+
+    graph.csr  # noqa: B018 - fills the CSR cache the cells read
+    n = graph.n
+    return _map_cells(cell, len(configs), len(configs) * runs * n,
+                      forge_dense_bytes(n) + _attack_dense_bytes(n, math.ceil(seed_fraction * n)))

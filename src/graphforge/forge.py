@@ -202,6 +202,11 @@ def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
     return ForgedDistribution(_check_probability_matrix(prob_matrix)).entropy()
 
 
+def forge_dense_bytes(n: int) -> int:
+    """Estimated peak bytes of dense arrays of `fit` plus one `at` at n nodes."""
+    return 8 * n * n * _FORGE_DENSE_ARRAYS
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     """The eigendecomposition of one input, built by `fit` and reusable
@@ -228,8 +233,7 @@ def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
     """
     if transformation not in TRANSFORMATIONS:
         raise ValueError(f"unknown transformation {transformation!r}")
-    n = graph.n
-    require_dense_budget(n, 8 * n * n * _FORGE_DENSE_ARRAYS, "forging a graph")
+    require_dense_budget(graph.n, forge_dense_bytes(graph.n), "forging a graph")
     if transformation == "modularity":
         m = modularity_matrix(graph)  # raises on edgeless input
     else:

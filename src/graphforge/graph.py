@@ -25,13 +25,18 @@ from scipy import sparse
 MISSING_VALUE = "__missing__"
 
 
+def dense_budget() -> int:
+    """Bytes of physical memory: the most that dense arrays held at once may take."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def require_dense_budget(n: int, nbytes: int, what: str) -> None:
     """Refuse work whose dense arrays would not fit in physical memory.
 
     Called before anything of size n^2 is allocated, so that an oversized
     input fails with a ValueError instead of exhausting memory.
     """
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    budget = dense_budget()
     if nbytes > budget:
         raise ValueError(
             f"{what} at n = {n} needs an estimated {nbytes} bytes of dense arrays, "

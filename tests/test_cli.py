@@ -29,6 +29,15 @@ def test_parse_alphas():
         _parse_alphas("0.1:1.0")
 
 
+def test_parse_alphas_grid_points():
+    # the golden and README grids keep the points they always had
+    assert _parse_alphas("0.1:0.9:0.4") == [0.1, 0.5, 0.9]
+    assert _parse_alphas("0.1:1.0:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    # a step at the alpha resolution ends at the stop, not one step past it
+    grid = _parse_alphas("0:1e-8:1e-9")
+    assert len(grid) == 11 and grid[-1] == 1e-08
+
+
 def test_generate_identity_at_alpha_one(tmp_path, clique_file):
     path, g = clique_file
     rc = dispatch(["generate", "--input", str(path), "--alpha", "1.0",
@@ -117,7 +126,9 @@ def test_sweep_csv_and_entropy_trend(tmp_path):
                                    # a step below the 1e-9 snap repeats alphas,
                                    # or never ends the grid
                                    ["--alphas", "0:1e-8:1e-10"],
-                                   ["--alphas", "0:1:1e-12"]])
+                                   ["--alphas", "0:1:1e-12"],
+                                   # 10^9 + 1 points: refused before any is built
+                                   ["--alphas", "0:1:1e-9"]])
 def test_sweep_rejects_no_runs_and_empty_grid(tmp_path, clique_file, capsys, flags):
     path, _ = clique_file
     rc = dispatch(["sweep", "--input", str(path), "--output-dir", str(tmp_path)] + flags)
