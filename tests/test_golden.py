@@ -33,6 +33,15 @@ GENERATE_GOLDENS = {
 }
 SWEEP_GOLDEN = "2de08bc4725a0f7137c8e27c14ad19cf1ec594eb846e5202a64d0875e3acd9f7"
 BENCH_GOLDEN = "585f63588ffb5062e9babd9cf5d126579263f0db079c059409aba722a0ba02db"
+# one case per non-girvan preset: the flags each one reads, its defaults and its generator
+PRESET_BENCH_GOLDENS = {
+    "planted": (["--nodes", "64", "--communities", "4", "--p-in", "0.5", "--p-out", "0.05",
+                 "--graphs", "2", "--runs", "2", "--strategies", "sgf:0.9,dcsbm", "--seed", "3"],
+        "c273708be3dda6cc56db3cd138b82557ab124254ebefbfd561b869e8cf27315e"),
+    "lancichinetti": (["--nodes", "200", "--graphs", "1", "--runs", "2",
+                       "--strategies", "dcsbm,trajanovski", "--seed", "4"],
+        "49bdc0f2e854d24522edf978bd9a1ac6e274637619a9497ef802cd75a234d890"),
+}
 EVAL_GOLDEN = "c0c902ee7802dd3509dc8ddc17e763dcbbde1c2b98e16dce45007334c654bbd0"
 ATTACK_GOLDEN = "9175d935a3afe54a47b171ad8ce25f50643387b3d0aa557fc1b1c6c035d137c8"
 
@@ -82,6 +91,14 @@ def test_golden_bench(tmp_path):
                    "--output-dir", str(tmp_path)])
     assert rc == 0
     assert _sha256((tmp_path / "bench_girvan.csv").read_bytes()) == BENCH_GOLDEN
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_BENCH_GOLDENS))
+def test_golden_bench_preset(preset, tmp_path):
+    flags, expected = PRESET_BENCH_GOLDENS[preset]
+    rc = dispatch(["bench", "--preset", preset, "--output-dir", str(tmp_path)] + flags)
+    assert rc == 0
+    assert _sha256((tmp_path / f"bench_{preset}.csv").read_bytes()) == expected
 
 
 def test_golden_eval_with_attributes(inputs, tmp_path):
