@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import Partition, modularity
+from .community import Partition
 from .graph import Graph, degree_vector
 
 EDGE_RETRY_LIMIT = 100
@@ -160,8 +160,11 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     it reaches q_target (the last move may overshoot by at most one step) or
     no decreasing move turns up. Move vocabulary: migrate an intra edge to a
     cross-community pair, swap one endpoint of an inter edge, or relocate an
-    intra edge inside its community (the relocation never changes the
-    fixed-partition value, so it cannot drive progress).
+    intra edge inside its community. A relocation is never accepted: it
+    leaves the intra-edge count and every community degree as they were, so
+    its change in modularity is exactly zero. A relocation draw only consumes
+    random numbers and counts toward _STALE_LIMIT; it stays because dropping
+    it would change the random stream, and with it every trajanovski output.
 
     If q_history is given, it receives the skeleton's fixed-partition
     modularity followed by the value after each accepted move. Warns instead

@@ -54,9 +54,23 @@ SWEEP_CSV_HEADER = "alpha,modularity_ratio,entropy,attack_rate"
 # --runs samples, so a larger grid is a mistyped step, not a study
 _MAX_GRID_POINTS = 100_000
 
-_CONFIG_KEYS = {"strategies", "preset", "runs", "graphs", "seed", "output_dir",
-                "nodes", "communities", "p_in", "p_out", "mean_degree",
-                "mean_community_size", "mixing"}
+# the baselines a --strategies list names, besides sgf:<alpha>
+_BASELINES = {"dcsbm": dcsbm_strategy, "trajanovski": trajanovski_strategy}
+_STRATEGY_SPELLINGS = ", ".join(["sgf:<alpha>", *_BASELINES])
+
+# each bench preset: (generator, config type, the config fields no flag sets,
+# {flag: default} for the generator flags it reads); a default of None marks
+# a required flag, and --nodes sets the field n
+_PRESETS = {
+    "girvan": (planted_partition, PlantedPartitionConfig,
+               {"n": GIRVAN_NODES, "communities": GIRVAN_COMMUNITIES},
+               {"p_in": GIRVAN_P_IN, "p_out": GIRVAN_P_OUT}),
+    "planted": (planted_partition, PlantedPartitionConfig, {},
+                {"nodes": 128, "communities": 4, "p_in": None, "p_out": None}),
+    "lancichinetti": (lancichinetti, LancichinettiConfig, {},
+                      {"nodes": 1000, "mean_degree": 16.0, "mean_community_size": 64.0,
+                       "mixing": 0.1}),
+}
 
 
 def _read_graph(path: str) -> Graph:
@@ -108,23 +122,22 @@ def _parse_strategies(spec: str, rule: str, logistic_k: float, transformation: s
             alpha = float(token.split(":", 1)[1])
             out.append(sgf_strategy(alpha, rule=rule, logistic_k=logistic_k,
                                     transformation=transformation))
-        elif token == "dcsbm":
-            out.append(dcsbm_strategy())
-        elif token == "trajanovski":
-            out.append(trajanovski_strategy())
+        elif token in _BASELINES:
+            out.append(_BASELINES[token]())
         else:
-            raise ValueError(f"unknown strategy {token!r} (use sgf:<alpha>, dcsbm, trajanovski)")
+            raise ValueError(f"unknown strategy {token!r} (use {_STRATEGY_SPELLINGS})")
     if not out:
         raise ValueError("no strategies given")
     return out
 
 
-# the generator flags each preset reads; a preset refuses any other
-_PRESET_FLAGS = {
-    "girvan": ("p_in", "p_out"),
-    "planted": ("nodes", "communities", "p_in", "p_out"),
-    "lancichinetti": ("nodes", "mean_degree", "mean_community_size", "mixing"),
-}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _preset_flag_help(key: str) -> str:
+    return " / ".join(f"{name} ({'required' if reads[key] is None else f'default {reads[key]}'})"
+                      for name, (*_, reads) in _PRESETS.items() if key in reads)
 
 
 def _preset_dataset(args) -> Dataset:
@@ -132,39 +145,21 @@ def _preset_dataset(args) -> Dataset:
 
     A generator flag the preset does not read is an error, so that no design
     records a parameter that was not run; unset flags take the preset's
-    defaults here.
+    defaults from _PRESETS.
     """
-    if args.preset not in _PRESET_FLAGS:
-        raise ValueError(f"unknown preset {args.preset!r}")
-    reads = _PRESET_FLAGS[args.preset]
-    for key in sorted({key for keys in _PRESET_FLAGS.values() for key in keys} - set(reads)):
+    generate, make_config, fixed, reads = _PRESETS[args.preset]
+    for key in sorted({key for *_, flags in _PRESETS.values() for key in flags} - set(reads)):
         if getattr(args, key) is not None:
-            raise ValueError(
-                f"preset {args.preset!r} does not take --{key.replace('_', '-')} "
-                f"(it reads {', '.join('--' + k.replace('_', '-') for k in reads)})")
-
-    def flag(key, default):
+            raise ValueError(f"preset {args.preset!r} does not take {_flag(key)} "
+                             f"(it reads {', '.join(map(_flag, reads))})")
+    fields = dict(fixed)
+    for key, default in reads.items():
         value = getattr(args, key)
-        return default if value is None else value
-
-    if args.preset == "girvan":
-        generate = planted_partition
-        cfg = PlantedPartitionConfig(
-            n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES,
-            p_in=flag("p_in", GIRVAN_P_IN), p_out=flag("p_out", GIRVAN_P_OUT))
-    elif args.preset == "planted":
-        if args.p_in is None or args.p_out is None:
-            raise ValueError("preset 'planted' requires --p-in and --p-out")
-        generate = planted_partition
-        cfg = PlantedPartitionConfig(
-            n=flag("nodes", 128), communities=flag("communities", 4),
-            p_in=args.p_in, p_out=args.p_out)
-    else:
-        generate = lancichinetti
-        cfg = LancichinettiConfig(
-            n=flag("nodes", 1000), mean_degree=flag("mean_degree", 16.0),
-            mean_community_size=flag("mean_community_size", 64.0),
-            mixing=flag("mixing", 0.1))
+        fields["n" if key == "nodes" else key] = default if value is None else value
+    if None in fields.values():
+        required = [_flag(key) for key, default in reads.items() if default is None]
+        raise ValueError(f"preset {args.preset!r} requires {' and '.join(required)}")
+    cfg = make_config(**fields)
     graphs = tuple(generate(replace(cfg, seed=seed_from(args.seed, 100, i)))[0]
                    for i in range(args.graphs))
     return Dataset(name=args.preset, graphs=graphs)
@@ -216,30 +211,40 @@ def _cmd_attack(args) -> int:
     return 0
 
 
-def _apply_config_file(args) -> None:
+def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
     """Overlay a JSON experiment-design file onto the parsed args.
 
-    Config values take precedence over flags. The file must hold one object;
-    unknown keys, and values that are not of their flag's type (a float flag
-    also takes a JSON integer), are rejected.
+    The keys are the dests of the bench flags, all but --help and --config.
+    Each value is checked as argparse checks its flag: it must be of the
+    flag's type (a float flag also takes a JSON integer) and among the flag's
+    choices; a null leaves a flag that defaults to unset unset. Config values
+    take precedence over flags. The file must hold one object.
     """
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"config file must hold a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - _CONFIG_KEYS
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("help", "config")}
+    unknown = set(raw) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        kind = args.config_types[key]
+        action = actions[key]
+        kind = action.type or str
         accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if value is None and action.default is None:
+            pass
+        elif isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        elif action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{', '.join(map(repr, action.choices))}, got {value!r}")
         setattr(args, key, value)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     if args.config:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
     if args.graphs < 1:
         raise ValueError(f"--graphs must be >= 1, got {args.graphs}")
     if args.runs < 2:
@@ -275,11 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--alpha", type=float, required=True)
     forge_options(p)
+    p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("eval", help="compare an input graph against a generated one")
     common(p)
     p.add_argument("--generated", required=True, help="generated edge-list file")
     p.add_argument("--attrs", help="node attribute CSV for the input graph")
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("sweep", help="alpha sweep: modularity ratio, entropy, attack rate")
     common(p)
@@ -287,37 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     forge_options(p)
     p.add_argument("--seed-fraction", type=float, default=0.05)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("attack", help="distance-vector de-anonymization rate")
     common(p)
     p.add_argument("--generated", required=True)
     p.add_argument("--seed-fraction", type=float, default=0.05)
+    p.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("bench", help="run strategies against a preset dataset")
     common(p, needs_input=False)
-    p.add_argument("--preset", choices=["girvan", "planted", "lancichinetti"], default="girvan")
+    p.add_argument("--preset", choices=list(_PRESETS), default="girvan")
     p.add_argument("--strategies", default="sgf:0.9,dcsbm",
-                   help="comma list: sgf:<alpha>, dcsbm, trajanovski")
+                   help=f"comma list: {_STRATEGY_SPELLINGS}")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--graphs", type=int, default=10, help="graphs per preset dataset")
     forge_options(p)
     # preset generator flags; each preset refuses those it does not read
-    p.add_argument("--nodes", type=int, default=None,
-                   help="node count for planted (default 128) / lancichinetti (default 1000)")
-    p.add_argument("--communities", type=int, default=None, help="planted only (default 4)")
-    p.add_argument("--p-in", type=float, default=None, dest="p_in",
-                   help="girvan (default 14/31) / planted (required)")
-    p.add_argument("--p-out", type=float, default=None, dest="p_out",
-                   help="girvan (default 2/96) / planted (required)")
-    p.add_argument("--mean-degree", type=float, default=None,
-                   help="lancichinetti only (default 16)")
-    p.add_argument("--mean-community-size", type=float, default=None,
-                   help="lancichinetti only (default 64)")
-    p.add_argument("--mixing", type=float, default=None, help="lancichinetti only (default 0.1)")
+    for key, kind in (("nodes", int), ("communities", int), ("p_in", float), ("p_out", float),
+                      ("mean_degree", float), ("mean_community_size", float), ("mixing", float)):
+        p.add_argument(_flag(key), type=kind, help=_preset_flag_help(key))
     p.add_argument("--config", help="JSON experiment-design file; its values take precedence")
-    # _apply_config_file checks each config value against its flag's type
-    p.set_defaults(config_types={action.dest: action.type or str for action in p._actions
-                                 if action.dest in _CONFIG_KEYS})
+    p.set_defaults(handler=lambda args: _cmd_bench(args, p))
 
     return parser
 
@@ -328,15 +326,8 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "generate": _cmd_generate,
-        "eval": _cmd_eval,
-        "sweep": _cmd_sweep,
-        "attack": _cmd_attack,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -114,6 +114,8 @@ class LancichinettiConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
         if not 0.0 <= self.mixing < 1.0:
             raise ValueError(f"mixing must lie in [0, 1), got {self.mixing}")
         if self.mean_degree < 1 or self.mean_community_size < 1:

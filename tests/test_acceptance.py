@@ -40,7 +40,7 @@ from graphforge.generators import (
 )
 from graphforge.graph import Graph, degree_vector, write_edge_list
 
-from conftest import disjoint_cliques
+from conftest import blocks_to_labels, disjoint_cliques, modularity_oracle, set_partitions_oracle
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -103,28 +103,6 @@ def test_c02_tail_eigenvalue_equals_residual_norm():
 # ---------------------------------------------------------------- criterion 3
 
 
-def _partitions_of(n):
-    if n == 0:
-        yield []
-        return
-    for smaller in _partitions_of(n - 1):
-        for idx in range(len(smaller)):
-            yield smaller[:idx] + [smaller[idx] + [n - 1]] + smaller[idx + 1:]
-        yield smaller + [[n - 1]]
-
-
-def _oracle_q(g: Graph, labels) -> float:
-    a = g.adjacency()
-    k = degree_vector(g).astype(float)
-    total = k.sum()
-    q = 0.0
-    for i in range(g.n):
-        for j in range(g.n):
-            if labels[i] == labels[j]:
-                q += a[i, j] - k[i] * k[j] / total
-    return q / total
-
-
 def test_c03_modularity_matches_brute_force_summation():
     rng = np.random.default_rng(303)
     corpus = [
@@ -141,13 +119,10 @@ def test_c03_modularity_matches_brute_force_summation():
     worst = 0.0
     checked = 0
     for g in corpus:
-        for blocks in _partitions_of(g.n):
-            labels = [0] * g.n
-            for cid, block in enumerate(blocks):
-                for v in block:
-                    labels[v] = cid
+        for blocks in set_partitions_oracle(g.n):
+            labels = blocks_to_labels(blocks, g.n)
             part = Partition.from_labels(labels)
-            worst = max(worst, abs(modularity(g, part) - _oracle_q(g, labels)))
+            worst = max(worst, abs(modularity(g, part) - modularity_oracle(g, labels)))
             checked += 1
     ok = worst <= 1e-12
     assert _report("03 value vs exhaustive summation", ok,

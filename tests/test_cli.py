@@ -13,6 +13,16 @@ from conftest import disjoint_cliques
 
 
 @pytest.fixture
+def no_draw(monkeypatch):
+    """Make every preset's generator fail the test if it draws a graph."""
+    def draw(config):
+        raise AssertionError("a graph was drawn")
+
+    for name, (_, *rest) in list(cli._PRESETS.items()):
+        monkeypatch.setitem(cli._PRESETS, name, (draw, *rest))
+
+
+@pytest.fixture
 def clique_file(tmp_path):
     g = disjoint_cliques(6, 6)
     path = tmp_path / "input.el"
@@ -174,15 +184,12 @@ def test_bench_subcommand_and_determinism(tmp_path):
     (["--preset", "planted", "--p-in", "2", "--p-out", "0.1"], "p_in <= 1"),
     (["--preset", "lancichinetti", "--mixing", "1.5"], "mixing must lie in [0, 1)"),
     (["--preset", "lancichinetti", "--runs", "1"], "--runs must be >= 2"),
+    (["--preset", "lancichinetti", "--nodes", "0"], "n >= 1"),
+    (["--preset", "lancichinetti", "--nodes", "-5"], "n >= 1"),
 ])
-def test_bench_checks_design_before_drawing(tmp_path, capsys, monkeypatch, flags, message):
+def test_bench_checks_design_before_drawing(tmp_path, capsys, no_draw, flags, message):
     # a bad knob is an error of the whole design, not a failed run: it must
     # be refused before the first graph is drawn
-    def no_draw(config):
-        raise AssertionError("a graph was drawn")
-
-    monkeypatch.setattr(cli, "planted_partition", no_draw)
-    monkeypatch.setattr(cli, "lancichinetti", no_draw)
     rc = dispatch(["bench", "--output-dir", str(tmp_path)] + flags)
     assert rc == 2
     err = capsys.readouterr().err
@@ -200,15 +207,10 @@ def test_bench_checks_design_before_drawing(tmp_path, capsys, monkeypatch, flags
     ([], {"preset": "lancichinetti", "communities": 2}),
     ([], {"preset": "lancichinetti", "p_in": 0.5, "p_out": 0.1}),
 ])
-def test_bench_refuses_flags_the_preset_does_not_read(tmp_path, capsys, monkeypatch,
+def test_bench_refuses_flags_the_preset_does_not_read(tmp_path, capsys, no_draw,
                                                       flags, design):
     # a design that names a parameter its preset ignores would record a
     # parameter that was not run
-    def no_draw(config):
-        raise AssertionError("a graph was drawn")
-
-    monkeypatch.setattr(cli, "planted_partition", no_draw)
-    monkeypatch.setattr(cli, "lancichinetti", no_draw)
     out_dir = tmp_path / "out"
     if design is not None:
         design_path = tmp_path / "design.json"
@@ -231,11 +233,57 @@ def test_bench_config_file(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "bench_planted.csv").exists()
 
+    # a choice outside the flag's choices is refused as argparse refuses it,
+    # also when the flags alone would run
     for bad in (dict(cfg, bogus=1), dict(cfg, runs="3"), dict(cfg, strategies=5),
-                dict(cfg, p_in=True), dict(cfg, nodes=32.0), [cfg], "planted"):
+                dict(cfg, p_in=True), dict(cfg, nodes=32.0), [cfg], "planted",
+                dict(cfg, rule="bogus"), dict(cfg, preset="bogus"),
+                {"rule": "bogus"}, {"preset": "bogus"}):
         cfg_path.write_text(json.dumps(bad))
-        assert dispatch(["bench", "--config", str(cfg_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        for flags in ([], ["--strategies", "dcsbm"]):
+            assert dispatch(["bench", "--config", str(cfg_path)] + flags) == 2
+            assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json", "bench_planted.csv"]
+
+
+def test_bench_config_file_sets_forge_options(tmp_path):
+    # rule, logistic_k and transformation are bench flags, so they are design keys
+    forge_options = {"rule": "logistic", "logistic_k": 3, "transformation": "adjacency"}
+    base = ["bench", "--preset", "planted", "--nodes", "32", "--communities", "2",
+            "--p-in", "0.5", "--p-out", "0.05", "--graphs", "2", "--runs", "2",
+            "--strategies", "sgf:0.5", "--seed", "4"]
+    cfg_path = tmp_path / "design.json"
+    cfg_path.write_text(json.dumps(forge_options))
+    assert dispatch(base + ["--config", str(cfg_path), "--output-dir", str(tmp_path / "c")]) == 0
+    assert dispatch(base + ["--rule", "logistic", "--logistic-k", "3", "--transformation",
+                            "adjacency", "--output-dir", str(tmp_path / "f")]) == 0
+    assert dispatch(base + ["--output-dir", str(tmp_path / "d")]) == 0
+    by_config, by_flags, by_default = (
+        (tmp_path / d / "bench_planted.csv").read_bytes() for d in "cfd")
+    assert by_config == by_flags != by_default
+
+
+def test_bench_config_file_takes_every_flag_at_its_default(tmp_path, monkeypatch):
+    # every bench dest but help and config is a design key: a design holding
+    # each one at its flag's default runs the design the bare command runs
+    defaults = vars(cli.build_parser().parse_args(["bench"]))
+    design = {key: value for key, value in defaults.items()
+              if key not in ("command", "handler", "config")}
+    assert {"rule", "logistic_k", "transformation", "nodes", "p_in"} <= set(design)
+    calls = []
+
+    def record(strategies, datasets, runs, seed):
+        calls.append(([s.name for s in strategies],
+                      [(d.name, d.graphs) for d in datasets], runs, seed))
+        return []
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "design.json"
+    cfg_path.write_text(json.dumps(design))
+    assert dispatch(["bench", "--config", str(cfg_path)]) == 0
+    assert dispatch(["bench"]) == 0
+    assert len(calls) == 2 and calls[0] == calls[1]
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

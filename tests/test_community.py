@@ -9,42 +9,15 @@ from graphforge.community import (
     louvain_maximize,
     modularity,
 )
-from graphforge.graph import Graph, degree_vector
+from graphforge.graph import Graph
 
-from conftest import complete_graph, disjoint_cliques
-
-
-def _modularity_oracle(g: Graph, labels) -> float:
-    """Direct double-loop evaluation over all ordered pairs, diagonal included."""
-    a = g.adjacency()
-    k = degree_vector(g).astype(float)
-    total = k.sum()
-    q = 0.0
-    for i in range(g.n):
-        for j in range(g.n):
-            if labels[i] == labels[j]:
-                q += a[i, j] - k[i] * k[j] / total
-    return q / total
-
-
-def _partitions_oracle(n):
-    """Set partitions built by recursive block insertion (independent of the
-    restricted-growth enumeration in the library)."""
-    if n == 0:
-        yield []
-        return
-    for smaller in _partitions_oracle(n - 1):
-        for idx in range(len(smaller)):
-            yield smaller[:idx] + [smaller[idx] + [n - 1]] + smaller[idx + 1:]
-        yield smaller + [[n - 1]]
-
-
-def _blocks_to_labels(blocks, n):
-    labels = [0] * n
-    for cid, block in enumerate(blocks):
-        for v in block:
-            labels[v] = cid
-    return labels
+from conftest import (
+    blocks_to_labels,
+    complete_graph,
+    disjoint_cliques,
+    modularity_oracle,
+    set_partitions_oracle,
+)
 
 
 def test_modularity_single_community_is_zero():
@@ -79,7 +52,7 @@ def test_modularity_matches_double_loop_oracle():
         labels = [int(x) for x in rng.integers(0, 3, size=n)]
         part = Partition.from_labels(labels)
         assert modularity(g, part) == pytest.approx(
-            _modularity_oracle(g, part.assignment), abs=1e-12
+            modularity_oracle(g, part.assignment), abs=1e-12
         )
 
 
@@ -135,8 +108,8 @@ def test_brute_force_agrees_with_independent_enumeration():
             continue
         g = Graph.from_edges(n, edges)
         best = max(
-            _modularity_oracle(g, _blocks_to_labels(blocks, n))
-            for blocks in _partitions_oracle(n)
+            modularity_oracle(g, blocks_to_labels(blocks, n))
+            for blocks in set_partitions_oracle(n)
         )
         _, q = brute_force_max_modularity(g)
         assert q == pytest.approx(best, abs=1e-12)

@@ -133,6 +133,8 @@ def test_lancichinetti_simple_and_deterministic():
 
 
 def test_lancichinetti_validation():
+    with pytest.raises(ValueError, match="n >= 1"):
+        LancichinettiConfig(n=0, mean_degree=4, mean_community_size=20, mixing=0.1)
     with pytest.raises(ValueError, match="mixing"):
         LancichinettiConfig(n=50, mean_degree=4, mean_community_size=20, mixing=1.0)
     with pytest.raises(ValueError, match="mean_community_size"):

@@ -13,7 +13,7 @@ from graphforge.graph import (
     write_edge_list,
 )
 
-from conftest import complete_graph, path_graph
+from conftest import clustering_oracle, complete_graph, path_graph
 
 
 def test_load_basic():
@@ -81,29 +81,11 @@ def test_degree_total_is_twice_edges():
         assert degree_vector(g).sum() == 2 * g.num_edges
 
 
-def _clustering_oracle(g: Graph) -> float:
-    """Independent local-clustering computation by full triangle enumeration."""
-    if g.n == 0:
-        return 0.0
-    triangles = [0] * g.n
-    for a, b, c in itertools.combinations(range(g.n), 3):
-        if (a, b) in g.edges and (b, c) in g.edges and (a, c) in g.edges:
-            triangles[a] += 1
-            triangles[b] += 1
-            triangles[c] += 1
-    deg = degree_vector(g)
-    coeffs = [
-        2 * triangles[v] / (deg[v] * (deg[v] - 1)) if deg[v] >= 2 else 0.0
-        for v in range(g.n)
-    ]
-    return sum(coeffs) / g.n
-
-
 def test_average_clustering_examples():
     assert average_clustering(complete_graph(3)) == 1.0
     assert average_clustering(path_graph(3)) == 0.0
     k4_minus_edge = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    expected = _clustering_oracle(k4_minus_edge)  # = (2/3 + 2/3 + 1 + 1) / 4
+    expected = clustering_oracle(k4_minus_edge.n, k4_minus_edge.edges)  # = (2/3 + 2/3 + 1 + 1) / 4
     assert average_clustering(k4_minus_edge) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(5.0 / 6.0, abs=1e-12)
 
@@ -114,7 +96,7 @@ def test_average_clustering_matches_oracle_on_random_graphs():
         n = int(rng.integers(3, 16))
         edges = [d for d in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         g = Graph.from_edges(n, edges)
-        assert average_clustering(g) == pytest.approx(_clustering_oracle(g), abs=1e-12)
+        assert average_clustering(g) == pytest.approx(clustering_oracle(g.n, g.edges), abs=1e-12)
         assert 0.0 <= average_clustering(g) <= 1.0
 
 

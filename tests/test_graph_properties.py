@@ -5,7 +5,6 @@ each array-based result is compared exactly with a loop over tuples.
 """
 
 from collections import Counter, deque
-from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +18,8 @@ from graphforge.graph import (
     load_edge_list,
     write_edge_list,
 )
+
+from conftest import clustering_oracle
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -77,31 +78,12 @@ def test_degrees_match_edge_count(case):
     assert not degrees.flags.writeable
 
 
-def clustering_reference(n: int, edges: set[tuple[int, int]]) -> float:
-    """Brute-force triangle count, then the per-node ratios summed in node order."""
-    if n == 0:
-        return 0.0
-    triangles = [0] * n
-    for a, b, c in combinations(range(n), 3):
-        if (a, b) in edges and (b, c) in edges and (a, c) in edges:
-            triangles[a] += 1
-            triangles[b] += 1
-            triangles[c] += 1
-    degree = Counter(v for edge in edges for v in edge)
-    total = 0.0
-    for v in range(n):
-        k = degree[v]
-        if k >= 2:
-            total += 2 * triangles[v] / (k * (k - 1))
-    return total / n
-
-
 @PROPERTY_SETTINGS
 @given(edge_lists())
 def test_average_clustering_matches_triangle_count_exactly(case):
     n, pairs = case
     g = Graph.from_edges(n, pairs)
-    assert average_clustering(g) == clustering_reference(n, canonical(pairs))
+    assert average_clustering(g) == clustering_oracle(n, canonical(pairs))
 
 
 def bfs_distances(nbrs: list[set[int]], source: int, n: int, sentinel: int) -> np.ndarray:
