@@ -6,10 +6,20 @@ applies seeded rewiring moves that lower the fixed-partition modularity
 until it reaches a target. dcsbm_generate places an exact number of edges
 between each pair of groups, choosing endpoints proportionally to target
 degree.
+
+Each output is defined by scalar draws on `np.random.default_rng(seed)`:
+for trajanovski_generate, `integers(b)` and `choice(k, 2, replace=False)`
+calls in the order the skeleton build and the moves make them; for
+dcsbm_generate, two `random()` calls per endpoint attempt (side r, then
+side s), block by block. Both generators draw in bulk and replay exactly
+that stream (`_Words`, and the attempt rounds of dcsbm_generate). The
+generator is local to the call, so draws a bulk call leaves unused change
+nothing.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +32,10 @@ EDGE_RETRY_LIMIT = 100
 # consecutive failed rewiring candidates before declaring the target unreachable
 _STALE_LIMIT = 500
 _DECREASE_EPS = 1e-12
+# raw words per bulk draw of _Words
+_WORD_CHUNK = 1024
+# fewest endpoint attempts dcsbm_generate maps per round
+_MIN_ATTEMPTS = 32
 
 
 def _community_sizes(n: int, m: int) -> list[int]:
@@ -46,6 +60,8 @@ class TrajanovskiConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if math.isnan(self.q_target):
+            raise ValueError("q_target must be a number, not NaN")
         if self.communities < 1 or self.communities > self.n:
             raise ValueError("need 1 <= communities <= n")
         if self.num_edges < self.n - 1:
@@ -60,7 +76,52 @@ class TrajanovskiConfig:
             )
 
 
-def _initial_graph(config: TrajanovskiConfig, rng) -> tuple[set[tuple[int, int]], np.ndarray]:
+class _Words:
+    """Bounded integer draws on raw 32-bit words fetched in bulk.
+
+    `below(b)` returns `int(rng.integers(b))` and `pair(k)` returns
+    `rng.choice(k, 2, replace=False)` as a tuple, call for call, as if those
+    scalar calls were made on `rng` instead. numpy serves both from the
+    generator's 32-bit words: a bound of 1 takes no word, any other bound up
+    to 2**32 takes Lemire's (2019) multiply-and-reject rule, and a pair is
+    Floyd's sample of two followed by a one-step shuffle. This replays them on
+    words from `rng.integers(1 << 32, size=_WORD_CHUNK, dtype=np.uint32)`,
+    which are the same words in the same order.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._words: list[int] = []
+        self._pos = 0
+
+    def below(self, b: int) -> int:
+        if b == 1:
+            return 0
+        if not 1 < b <= 1 << 32:
+            raise ValueError(f"bound {b} outside 1..2**32")
+        # numpy's rejection threshold (2**32 - b) % b; with b = 2**32 it is 0
+        # and the draw is the word itself, as numpy returns it
+        threshold = (1 << 32) % b
+        while True:
+            if self._pos == len(self._words):
+                self._words = self._rng.integers(1 << 32, size=_WORD_CHUNK, dtype=np.uint32).tolist()
+                self._pos = 0
+            m = self._words[self._pos] * b
+            self._pos += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def pair(self, k: int) -> tuple[int, int]:
+        first = self.below(k - 1)
+        second = self.below(k)
+        if second == first:
+            second = k - 1
+        if self.below(2) == 0:
+            return second, first
+        return first, second
+
+
+def _initial_graph(config: TrajanovskiConfig, draws: _Words) -> tuple[set[tuple[int, int]], np.ndarray]:
     """Spanning tree per community, chain of single inter-community links,
     then extra intra edges balanced across communities (minimizes the degree
     imbalance penalty, which maximizes the fixed-partition modularity).
@@ -82,11 +143,11 @@ def _initial_graph(config: TrajanovskiConfig, rng) -> tuple[set[tuple[int, int]]
 
     for c, nodes in enumerate(blocks):
         for idx in range(1, len(nodes)):
-            parent = nodes[int(rng.integers(idx))]
+            parent = nodes[draws.below(idx)]
             add(parent, nodes[idx], c, c)
     for c in range(config.communities - 1):
-        u = blocks[c][int(rng.integers(len(blocks[c])))]
-        v = blocks[c + 1][int(rng.integers(len(blocks[c + 1])))]
+        u = blocks[c][draws.below(len(blocks[c]))]
+        v = blocks[c + 1][draws.below(len(blocks[c + 1]))]
         add(u, v, c, c + 1)
 
     remaining = config.num_edges - len(edges)
@@ -98,8 +159,8 @@ def _initial_graph(config: TrajanovskiConfig, rng) -> tuple[set[tuple[int, int]]
         nodes = blocks[c]
         placed = False
         for _ in range(EDGE_RETRY_LIMIT):
-            u, v = rng.choice(len(nodes), size=2, replace=False)
-            u, v = nodes[int(u)], nodes[int(v)]
+            u, v = draws.pair(len(nodes))
+            u, v = nodes[u], nodes[v]
             key = (u, v) if u < v else (v, u)
             if key not in edges:
                 add(u, v, c, c)
@@ -114,7 +175,7 @@ def _initial_graph(config: TrajanovskiConfig, rng) -> tuple[set[tuple[int, int]]
                 for b in nodes[ai + 1:]
                 if (a, b) not in edges
             ]
-            a, b = free[int(rng.integers(len(free)))]
+            a, b = free[draws.below(len(free))]
             add(a, b, c, c)
             used[c] += 1
     return edges, np.array(comm_degree)
@@ -140,8 +201,8 @@ class _EdgePools:
         self.pos[e] = len(pool)
         pool.append(e)
 
-    def sample(self, pool, rng):
-        return pool[int(rng.integers(len(pool)))] if pool else None
+    def sample(self, pool, draws: _Words):
+        return pool[draws.below(len(pool))] if pool else None
 
     def remove(self, e):
         pool = self._pool(e)
@@ -171,10 +232,10 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     of raising when the target exceeds the skeleton's modularity or turns out
     to be unreachable.
     """
-    rng = np.random.default_rng(config.seed)
+    draws = _Words(np.random.default_rng(config.seed))
     partition = community_skeleton_partition(config.n, config.communities)
     labels = partition.assignment
-    edges, comm_degree = _initial_graph(config, rng)
+    edges, comm_degree = _initial_graph(config, draws)
     total = 2.0 * config.num_edges
     ksq = float(np.sum(comm_degree**2))
     # the chain links are the skeleton's only inter-community edges
@@ -195,8 +256,8 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
 
     def random_pair(cross_only: bool, same_comm_as: int | None):
         for _ in range(EDGE_RETRY_LIMIT):
-            u = int(rng.integers(n))
-            v = int(rng.integers(n))
+            u = draws.below(n)
+            v = draws.below(n)
             if u == v:
                 continue
             if cross_only and labels[u] == labels[v]:
@@ -227,19 +288,19 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
 
     stale = 0
     while q > config.q_target and stale < _STALE_LIMIT:
-        kind = int(rng.integers(3))
+        kind = draws.below(3)
         candidate = None
         if kind == 0:  # intra edge -> cross-community pair
-            old = pools.sample(pools.intra, rng)
+            old = pools.sample(pools.intra, draws)
             new = random_pair(cross_only=True, same_comm_as=None)
             if old and new:
                 candidate = (old, new)
         elif kind == 1:  # swap one endpoint of an inter edge
-            old = pools.sample(pools.inter, rng)
+            old = pools.sample(pools.inter, draws)
             if old:
-                keep = old[int(rng.integers(2))]
+                keep = old[draws.below(2)]
                 for _ in range(EDGE_RETRY_LIMIT):
-                    w = int(rng.integers(n))
+                    w = draws.below(n)
                     if w == keep or labels[w] == labels[keep]:
                         continue
                     key = (keep, w) if keep < w else (w, keep)
@@ -248,7 +309,7 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
                     candidate = (old, key)
                     break
         else:  # relocate an intra edge inside its community
-            old = pools.sample(pools.intra, rng)
+            old = pools.sample(pools.intra, draws)
             if old:
                 new = random_pair(cross_only=False, same_comm_as=labels[old[0]])
                 if new:
@@ -336,8 +397,16 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
     """Sample a simple graph with exact per-block edge counts.
 
     Within each group, endpoints are drawn proportionally to target degree;
-    self-loops and duplicate edges are resampled up to a retry cap, after
-    which the block is declared over-dense.
+    an attempt that gives a self-loop or a duplicate edge is drawn again. A
+    block is declared over-dense after EDGE_RETRY_LIMIT consecutive failed
+    attempts for one edge.
+
+    Each attempt takes two `random()` draws, for side r and then side s.
+    They are drawn in rounds of at least _MIN_ATTEMPTS attempts and at least
+    the edges the block still needs; each side's endpoints are mapped with
+    one `searchsorted` and the attempts accepted in order. The draws a round
+    leaves unused go to the next round or block, so the graph is the one that
+    a scalar `random()` call per endpoint gives.
     """
     rng = np.random.default_rng(config.seed)
     labels = np.asarray(config.partition.assignment)
@@ -346,31 +415,41 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
     members = [np.flatnonzero(labels == r) for r in range(m)]
     cumweights = [np.cumsum(degrees[idx]) for idx in members]
 
-    def pick(r: int) -> int:
+    def endpoints(r: int, uniforms: np.ndarray) -> list[int]:
         cum = cumweights[r]
-        u = rng.random() * cum[-1]
-        return int(members[r][np.searchsorted(cum, u, side="right")])
+        return members[r][np.searchsorted(cum, uniforms * cum[-1], side="right")].tolist()
 
     edges: set[tuple[int, int]] = set()
     block = np.asarray(config.block_edges)
+    # drawn and not yet used, two per attempt
+    uniforms = np.empty(0)
     for r in range(m):
         for s in range(r, m):
-            if block[r, s] and (cumweights[r][-1] == 0 or cumweights[s][-1] == 0):
+            count = int(block[r, s])
+            if count and (cumweights[r][-1] == 0 or cumweights[s][-1] == 0):
                 raise ValueError(f"block ({r}, {s}) has edges but a zero-degree group")
-            for _ in range(int(block[r, s])):
-                for _attempt in range(EDGE_RETRY_LIMIT):
-                    u = pick(r)
-                    v = pick(s)
-                    if u == v:
-                        continue
+            placed = failures = 0
+            while placed < count:
+                attempts = max(count - placed, _MIN_ATTEMPTS)
+                if len(uniforms) < 2 * attempts:
+                    uniforms = np.concatenate((uniforms, rng.random(2 * attempts - len(uniforms))))
+                used = 0
+                for u, v in zip(endpoints(r, uniforms[0:2 * attempts:2]),
+                                endpoints(s, uniforms[1:2 * attempts:2])):
+                    used += 1
                     key = (u, v) if u < v else (v, u)
-                    if key in edges:
+                    if u == v or key in edges:
+                        failures += 1
+                        if failures == EDGE_RETRY_LIMIT:
+                            raise ValueError(
+                                f"block ({r}, {s}) too dense: could not place "
+                                f"{count} distinct edges"
+                            )
                         continue
                     edges.add(key)
-                    break
-                else:
-                    raise ValueError(
-                        f"block ({r}, {s}) too dense: could not place "
-                        f"{block[r, s]} distinct edges"
-                    )
+                    placed += 1
+                    failures = 0
+                    if placed == count:
+                        break
+                uniforms = uniforms[2 * used:]
     return Graph.from_edges(len(labels), edges)

@@ -49,10 +49,11 @@ def seed_from(*parts: int) -> int:
 
 T = TypeVar("T")
 
-# calls whose cells score fewer graph nodes than this in total run in a loop:
-# below it a fork pool (~19 ms to start and close) was measured no faster
-# (girvan n = 128, 4 cells: 81 ms in the loop, 87 ms forked; n = 32, 8 cells:
-# 185 ms and 217 ms), above it faster (n = 128, 12 cells: 294 ms and 173 ms)
+# calls whose cells score fewer graph nodes than this in total run in a loop.
+# A fork pool costs ~19 ms to start and close. run_experiment on girvan
+# n = 128 inputs (2 CPUs, one BLAS thread, medians of 12 calls in each of two
+# rounds) took 75-89 ms in the loop and 67-77 ms forked at 4 cells (512
+# nodes), and 262-314 ms and 177-193 ms at 12 cells (1536 nodes)
 _PARALLEL_MIN_NODES = 1000
 
 # the cell function of a forked worker, set by its initializer

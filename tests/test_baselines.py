@@ -1,15 +1,20 @@
 import itertools
+import math
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphforge import baselines
 from graphforge.baselines import (
     EDGE_RETRY_LIMIT,
     DcsbmConfig,
     TrajanovskiConfig,
+    _Words,
     community_skeleton_partition,
     dcsbm_config_from,
     dcsbm_generate,
@@ -18,7 +23,7 @@ from graphforge.baselines import (
 from graphforge.community import Partition, modularity
 from graphforge.graph import Graph, degree_vector
 
-from conftest import disjoint_cliques
+from conftest import dcsbm_oracle, disjoint_cliques, trajanovski_oracle
 
 
 def _fixed_q(graph, n, m):
@@ -101,6 +106,16 @@ def test_trajanovski_validation():
         TrajanovskiConfig(q_target=0.5, communities=2, n=10, num_edges=5)
     with pytest.raises(ValueError, match="capacity"):
         TrajanovskiConfig(q_target=0.5, communities=2, n=6, num_edges=10)
+    # a NaN target compares false with every modularity, so it would return
+    # the unrewired skeleton without a warning
+    with pytest.raises(ValueError, match="NaN"):
+        TrajanovskiConfig(q_target=float("nan"), communities=4, n=40, num_edges=80)
+
+
+def test_trajanovski_minus_infinity_target_warns_that_rewiring_stalled():
+    cfg = TrajanovskiConfig(q_target=-math.inf, communities=4, n=40, num_edges=80)
+    with pytest.warns(UserWarning, match="rewiring stalled"):
+        trajanovski_generate(cfg)
 
 
 def test_trajanovski_deterministic():
@@ -245,3 +260,177 @@ def test_trajanovski_skeleton_q_equals_modularity(n, data, seed):
     with pytest.warns(UserWarning, match="exceeds skeleton"):
         skeleton = trajanovski_generate(cfg, q_history)
     assert q_history == [_fixed_q(skeleton, n, m)]
+
+
+# bounds at which Lemire's rule rejects about a half and a quarter of the
+# 32-bit words, and the largest bound below 2**32 (it rejects one word)
+_REJECTION_HEAVY = (2**31 + 1, 3 * 2**30, 2**32 - 1)
+_BOUNDS = st.one_of(st.integers(1, 2**32), st.sampled_from(_REJECTION_HEAVY + (1, 2, 2**32)))
+_POPULATIONS = st.integers(2, 20_000)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 64),
+       bounds=st.lists(_BOUNDS, min_size=1, max_size=80))
+@example(seed=0, chunk=1, bounds=list(_REJECTION_HEAVY) * 20)
+def test_bulk_below_replays_scalar_integers(seed, chunk, bounds):
+    draws = _Words(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(baselines, "_WORD_CHUNK", chunk):
+        assert [draws.below(b) for b in bounds] == [int(rng.integers(b)) for b in bounds]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 64),
+       populations=st.lists(_POPULATIONS, min_size=1, max_size=40))
+@example(seed=0, chunk=3, populations=[2, 3, 10_000, 10_001, 20_000] * 8)
+def test_bulk_pair_replays_scalar_choice_without_replacement(seed, chunk, populations):
+    draws = _Words(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    expected = [tuple(rng.choice(k, 2, replace=False).tolist()) for k in populations]
+    with mock.patch.object(baselines, "_WORD_CHUNK", chunk):
+        assert [draws.pair(k) for k in populations] == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 64),
+       calls=st.lists(st.one_of(st.tuples(st.just("below"), _BOUNDS),
+                                st.tuples(st.just("pair"), _POPULATIONS)),
+                      min_size=1, max_size=80))
+def test_bulk_draws_replay_interleaved_scalar_calls(seed, chunk, calls):
+    draws = _Words(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(baselines, "_WORD_CHUNK", chunk):
+        for kind, bound in calls:
+            if kind == "below":
+                assert draws.below(bound) == int(rng.integers(bound))
+            else:
+                assert draws.pair(bound) == tuple(rng.choice(bound, 2, replace=False).tolist())
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2**32 + 1, 2**40])
+def test_bulk_below_refuses_bounds_it_cannot_replay(bound):
+    # numpy refuses a bound below 1 and serves one above 2**32 from 64-bit
+    # words, which the replay does not model: both must raise, never diverge
+    draws = _Words(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="outside"):
+        draws.below(bound)
+    with pytest.raises(ValueError, match="outside"):
+        draws.pair(bound + 1)
+
+
+def _outcome(generate, *args):
+    """What a call returns or raises, and the warnings it emits, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = generate(*args)
+        except ValueError as err:
+            result = f"ValueError: {err}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _skeleton_shape(data, n):
+    m = data.draw(st.integers(1, n), label="communities")
+    sizes = [n // m + (i < n % m) for i in range(m)]
+    capacity = sum(s * (s - 1) // 2 for s in sizes) + m - 1
+    return m, capacity
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 60), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       q_target=st.one_of(st.floats(-0.6, 1.0), st.sampled_from([-math.inf, math.inf, 0.0])))
+def test_trajanovski_equals_former_scalar_draws(n, data, seed, q_target):
+    m, capacity = _skeleton_shape(data, n)
+    num_edges = data.draw(st.integers(n - 1, capacity), label="num_edges")
+    cfg = TrajanovskiConfig(q_target=q_target, communities=m, n=n, num_edges=num_edges, seed=seed)
+    history, former_history = [], []
+    assert _outcome(trajanovski_generate, cfg, history) == _outcome(trajanovski_oracle, cfg, former_history)
+    assert history == former_history
+
+
+def _dense_scans(config: TrajanovskiConfig) -> int:
+    """Edges that the dense-community scan of the skeleton build placed.
+
+    With the target above the skeleton nothing is drawn after the skeleton,
+    and the pair attempts come after the tree and the chain, so each
+    `below` call made after the first pair and not inside one is a scan's."""
+    log = []
+    inside_pair = []
+    below, pair = _Words.below, _Words.pair
+
+    def spy_below(self, b):
+        if not inside_pair:
+            log.append("below")
+        return below(self, b)
+
+    def spy_pair(self, k):
+        log.append("pair")
+        inside_pair.append(k)
+        try:
+            return pair(self, k)
+        finally:
+            inside_pair.pop()
+
+    with mock.patch.object(_Words, "below", spy_below), mock.patch.object(_Words, "pair", spy_pair):
+        with pytest.warns(UserWarning, match="exceeds skeleton"):
+            trajanovski_generate(replace(config, q_target=1.0))
+    return log[log.index("pair"):].count("below") if "pair" in log else 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(20, 40), communities=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       missing=st.integers(0, 3), q_target=st.floats(-0.2, 1.0))
+def test_trajanovski_dense_fallback_equals_former(n, communities, seed, missing, q_target):
+    # communities filled to (almost) every pair: the last pairs are hard to
+    # hit in EDGE_RETRY_LIMIT attempts, so the free-pair scan places them
+    sizes = [n // communities + (i < n % communities) for i in range(communities)]
+    num_edges = sum(s * (s - 1) // 2 for s in sizes) + communities - 1 - missing
+    cfg = TrajanovskiConfig(q_target=q_target, communities=communities, n=n,
+                            num_edges=num_edges, seed=seed)
+    history, former_history = [], []
+    assert _outcome(trajanovski_generate, cfg, history) == _outcome(trajanovski_oracle, cfg, former_history)
+    assert history == former_history
+
+
+def test_trajanovski_dense_fallback_is_exercised():
+    cfg = TrajanovskiConfig(q_target=1.0, communities=1, n=30, num_edges=435, seed=0)
+    assert _dense_scans(cfg) > 0
+    assert _outcome(trajanovski_generate, cfg) == _outcome(trajanovski_oracle, cfg)
+
+
+@st.composite
+def _dcsbm_configs(draw):
+    """Block-model inputs read off a random graph. Near-complete graphs and
+    hubs joined to every node make blocks whose last edges have few free
+    pairs left, which often raises "too dense"."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.one_of(st.floats(0.05, 0.9), st.floats(0.95, 1.0)))
+    edges = {pair for pair in itertools.combinations(range(n), 2) if rng.random() < density}
+    for hub in range(draw(st.integers(0, 2))):
+        edges.update((min(hub, v), max(hub, v)) for v in range(n) if v != hub)
+    part = Partition.from_labels(rng.integers(draw(st.integers(1, 5)), size=n).tolist())
+    return replace(dcsbm_config_from(Graph.from_edges(n, edges), part), seed=seed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=_dcsbm_configs(), min_attempts=st.integers(1, 64))
+def test_dcsbm_equals_former_scalar_draws(cfg, min_attempts):
+    # rounds shorter than EDGE_RETRY_LIMIT make every "too dense" failure run
+    # straddle a round boundary, and with it the end of a bulk draw
+    with mock.patch.object(baselines, "_MIN_ATTEMPTS", min_attempts):
+        assert _outcome(dcsbm_generate, cfg) == _outcome(dcsbm_oracle, cfg)
+
+
+@pytest.mark.parametrize("min_attempts", [1, 7, 32, 64, 99])
+def test_dcsbm_too_dense_across_rounds_equals_former(min_attempts):
+    # three of the four edges fit; the fourth fails EDGE_RETRY_LIMIT times
+    # in a row over several rounds, each shorter than that run
+    cfg = DcsbmConfig(degrees=(3, 3, 2), partition=Partition((0, 0, 0)),
+                      block_edges=((4,),), seed=5)
+    with mock.patch.object(baselines, "_MIN_ATTEMPTS", min_attempts):
+        outcome = _outcome(dcsbm_generate, cfg)
+    assert outcome == _outcome(dcsbm_oracle, cfg)
+    assert outcome[0] == "ValueError: block (0, 0) too dense: could not place 4 distinct edges"
