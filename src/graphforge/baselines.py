@@ -219,13 +219,9 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     The community partition stays fixed throughout; every accepted move
     strictly lowers the fixed-partition modularity, and rewiring stops once
     it reaches q_target (the last move may overshoot by at most one step) or
-    no decreasing move turns up. Move vocabulary: migrate an intra edge to a
-    cross-community pair, swap one endpoint of an inter edge, or relocate an
-    intra edge inside its community. A relocation is never accepted: it
-    leaves the intra-edge count and every community degree as they were, so
-    its change in modularity is exactly zero. A relocation draw only consumes
-    random numbers and counts toward _STALE_LIMIT; it stays because dropping
-    it would change the random stream, and with it every trajanovski output.
+    no decreasing move turns up. Move vocabulary, each kind drawn with equal
+    chance: migrate an intra edge to a cross-community pair, or swap one
+    endpoint of an inter edge for a node of another community.
 
     If q_history is given, it receives the skeleton's fixed-partition
     modularity followed by the value after each accepted move. Warns instead
@@ -254,17 +250,12 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     pools = _EdgePools(edges, labels)
     n = config.n
 
-    def random_pair(cross_only: bool, same_comm_as: int | None):
+    def cross_pair():
+        """A non-edge between two communities, or None after EDGE_RETRY_LIMIT tries."""
         for _ in range(EDGE_RETRY_LIMIT):
             u = draws.below(n)
             v = draws.below(n)
-            if u == v:
-                continue
-            if cross_only and labels[u] == labels[v]:
-                continue
-            if same_comm_as is not None and not (
-                labels[u] == same_comm_as and labels[v] == same_comm_as
-            ):
+            if labels[u] == labels[v]:
                 continue
             key = (u, v) if u < v else (v, u)
             if key in pools.pos:
@@ -288,14 +279,13 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
 
     stale = 0
     while q > config.q_target and stale < _STALE_LIMIT:
-        kind = draws.below(3)
         candidate = None
-        if kind == 0:  # intra edge -> cross-community pair
+        if draws.below(2) == 0:  # intra edge -> cross-community pair
             old = pools.sample(pools.intra, draws)
-            new = random_pair(cross_only=True, same_comm_as=None)
+            new = cross_pair()
             if old and new:
                 candidate = (old, new)
-        elif kind == 1:  # swap one endpoint of an inter edge
+        else:  # swap one endpoint of an inter edge
             old = pools.sample(pools.inter, draws)
             if old:
                 keep = old[draws.below(2)]
@@ -308,12 +298,6 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
                         continue
                     candidate = (old, key)
                     break
-        else:  # relocate an intra edge inside its community
-            old = pools.sample(pools.intra, draws)
-            if old:
-                new = random_pair(cross_only=False, same_comm_as=labels[old[0]])
-                if new:
-                    candidate = (old, new)
         if candidate is None:
             stale += 1
             continue

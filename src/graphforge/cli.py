@@ -335,3 +335,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, degree_vector
+from .graph import Graph, degree_vector, require_dense_budget
 
 # a full local-move pass improving total modularity by less than this stops
 _GAIN_EPS = 1e-9
@@ -28,6 +28,13 @@ _REFINE_MAX_NODES = 100
 
 # independent seeded Louvain passes per maximization; the best one is kept
 _RESTARTS = 4
+
+# bytes per node at the peak of louvain_maximize, whose neighbour lists,
+# degrees and labels are Python lists (tracemalloc peak 694 per node at
+# n = 10^5 and 10^6 with one restart and 718 at 10^5 with all four, on
+# 64-node communities at mean degree 7.5; mean degree 2 took 432 and 14.3
+# took 1071, so the estimate is for sparse inputs)
+_LOUVAIN_NODE_BYTES = 720
 
 
 @dataclass(frozen=True)
@@ -289,9 +296,13 @@ def louvain_maximize(graph: Graph, rng_seed: int):
     visit and the degree moved elsewhere is too small to close its last
     score margin, so the visit would provably keep it in place; the moves,
     the visiting orders and the result equal those of visiting every node.
+
+    Raises ValueError on an edgeless graph, and on one whose per-node lists
+    would not fit in physical memory, before building them.
     """
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
+    require_dense_budget(graph.n, _LOUVAIN_NODE_BYTES * graph.n, "Louvain maximization")
     refine = graph.n <= _REFINE_MAX_NODES
     nbrs = graph.neighbor_lists()
     node_degree = degree_vector(graph).astype(float).tolist()

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,24 +304,54 @@ def test_unknown_strategy_reports_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    (200000, ["generate", "--alpha", "0.5"]),
-    (200000, ["attack", "--generated", "{input}"]),
+    (200000, ["generate", "--input", "{input}", "--alpha", "0.5"]),
+    (200000, ["attack", "--input", "{input}", "--generated", "{input}"]),
     # at 10^12 nodes even the attack's seed draw would exhaust memory
-    (10**12, ["attack", "--generated", "{input}"]),
+    (10**12, ["attack", "--input", "{input}", "--generated", "{input}"]),
+    # the planted preset samples every dyad of each graph it draws
+    (200000, ["bench", "--preset", "planted", "--nodes", "200000", "--communities", "4",
+              "--p-in", "0.1", "--p-out", "0.01"]),
+    # Louvain's per-node lists at 10^12 nodes
+    (10**12, ["eval", "--input", "{input}", "--generated", "{input}"]),
 ])
 def test_oversized_dense_work_fails_fast(tmp_path, capsys, command):
-    # n^2 float64 arrays at n = 200000 are hundreds of GB: the program must
-    # refuse before allocating any of them
+    # n^2 arrays at n = 200000 and per-node arrays at n = 10^12 are hundreds
+    # of GB: the program must refuse before allocating any of them, and write
+    # no output
     nodes, template = command
     path = tmp_path / "huge.el"
     path.write_text(f"#nodes {nodes}\n0 1\n")
     argv = [arg.format(input=path) for arg in template]
-    rc = dispatch([argv[0], "--input", str(path), *argv[1:], "--output-dir", str(tmp_path)])
+    rc = dispatch([*argv, "--output-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"n = {nodes}" in err and "bytes" in err
-    assert not (tmp_path / "generated.el").exists()
+    assert [f.name for f in tmp_path.iterdir()] == ["huge.el"]
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _run_module(module: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["graphforge", "graphforge.cli"])
+def test_module_entry_point_runs_the_command(module, tmp_path):
+    argv = ["bench", "--graphs", "1", "--runs", "2", "--strategies", "dcsbm,trajanovski",
+            "--seed", "3"]
+    result = _run_module(module, argv + ["--output-dir", str(tmp_path / "module")])
+    assert result.returncode == 0, result.stderr
+    assert dispatch(argv + ["--output-dir", str(tmp_path / "dispatch")]) == 0
+    written = (tmp_path / "module" / "bench_girvan.csv").read_bytes()
+    assert written == (tmp_path / "dispatch" / "bench_girvan.csv").read_bytes()
+
+    result = _run_module(module, ["bench", "--no-such-flag"])
+    assert result.returncode == 2
+    assert "error:" in result.stderr
 
 
 def _is_private(name: str) -> bool:

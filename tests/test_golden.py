@@ -5,6 +5,13 @@ outputs stay the same from one commit to the next. A refactor that must not
 change behaviour keeps every hash; a change that means to alter an output
 updates its hash and says why.
 
+The two hashes with `trajanovski` in their strategies, `BENCH_GOLDEN` and
+the `lancichinetti` preset, were re-recorded when the rewiring baseline
+dropped its relocation move. That move (an intra edge moved inside its
+community) leaves the fixed-partition modularity unchanged, so it was never
+accepted, but its draws fed the random stream of every later move. Only the
+`trajanovski` rows of the two CSVs changed; every other row kept its bytes.
+
 Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (scipy-openblas,
 DYNAMIC_ARCH, Haswell kernels) on Python 3.11 / x86-64. The eigensolver's
 last bits depend on the LAPACK build, so another BLAS may move the hashes
@@ -32,7 +39,7 @@ GENERATE_GOLDENS = {
         "3b9135813146663ed8499ffb1a0464f70bec6e02221ad72663a660ead91d8dfc"),
 }
 SWEEP_GOLDEN = "2de08bc4725a0f7137c8e27c14ad19cf1ec594eb846e5202a64d0875e3acd9f7"
-BENCH_GOLDEN = "585f63588ffb5062e9babd9cf5d126579263f0db079c059409aba722a0ba02db"
+BENCH_GOLDEN = "69cc41d17ca3cd34ee464f9946f3fb97147b9e92043989f9bef05b1785e8f79f"
 # one case per non-girvan preset: the flags each one reads, its defaults and its generator
 PRESET_BENCH_GOLDENS = {
     "planted": (["--nodes", "64", "--communities", "4", "--p-in", "0.5", "--p-out", "0.05",
@@ -40,7 +47,7 @@ PRESET_BENCH_GOLDENS = {
         "c273708be3dda6cc56db3cd138b82557ab124254ebefbfd561b869e8cf27315e"),
     "lancichinetti": (["--nodes", "200", "--graphs", "1", "--runs", "2",
                        "--strategies", "dcsbm,trajanovski", "--seed", "4"],
-        "49bdc0f2e854d24522edf978bd9a1ac6e274637619a9497ef802cd75a234d890"),
+        "f774dd0a652e7c6f4469e8d05d5ff9aec51765e39323b8322b94d5b6eb5667e2"),
 }
 EVAL_GOLDEN = "c0c902ee7802dd3509dc8ddc17e763dcbbde1c2b98e16dce45007334c654bbd0"
 ATTACK_GOLDEN = "9175d935a3afe54a47b171ad8ce25f50643387b3d0aa557fc1b1c6c035d137c8"
