@@ -12,9 +12,10 @@ for trajanovski_generate, `integers(b)` and `choice(k, 2, replace=False)`
 calls in the order the skeleton build and the moves make them; for
 dcsbm_generate, two `random()` calls per endpoint attempt (side r, then
 side s), block by block. Both generators draw in bulk and replay exactly
-that stream (`_Words`, and the attempt rounds of dcsbm_generate). The
-generator is local to the call, so draws a bulk call leaves unused change
-nothing.
+that stream: trajanovski_generate through `_Words`, whose unused words
+change nothing because the generator is local to the call, and
+dcsbm_generate in rounds of exactly the attempts a block still needs, so
+every uniform it draws is used.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ _STALE_LIMIT = 500
 _DECREASE_EPS = 1e-12
 # raw words per bulk draw of _Words
 _WORD_CHUNK = 1024
-# fewest endpoint attempts dcsbm_generate maps per round
-_MIN_ATTEMPTS = 32
 
 
 def _community_sizes(n: int, m: int) -> list[int]:
@@ -121,7 +120,7 @@ class _Words:
         return first, second
 
 
-def _initial_graph(config: TrajanovskiConfig, draws: _Words) -> tuple[set[tuple[int, int]], np.ndarray]:
+def _initial_graph(config: TrajanovskiConfig, draws: _Words) -> tuple[set[tuple[int, int]], list[int]]:
     """Spanning tree per community, chain of single inter-community links,
     then extra intra edges balanced across communities (minimizes the degree
     imbalance penalty, which maximizes the fixed-partition modularity).
@@ -134,7 +133,7 @@ def _initial_graph(config: TrajanovskiConfig, draws: _Words) -> tuple[set[tuple[
         blocks.append(list(range(start, start + s)))
         start += s
     edges: set[tuple[int, int]] = set()
-    comm_degree = [0.0] * config.communities
+    comm_degree = [0] * config.communities
 
     def add(u: int, v: int, cu: int, cv: int):
         edges.add((u, v) if u < v else (v, u))
@@ -178,11 +177,11 @@ def _initial_graph(config: TrajanovskiConfig, draws: _Words) -> tuple[set[tuple[
             a, b = free[draws.below(len(free))]
             add(a, b, c, c)
             used[c] += 1
-    return edges, np.array(comm_degree)
+    return edges, comm_degree
 
 
 class _EdgePools:
-    """Edge set split into intra/inter pools supporting O(1) sample and swap-remove."""
+    """Edge set split into intra/inter pools supporting O(1) add and swap-remove."""
 
     def __init__(self, edges, labels):
         self.labels = labels
@@ -200,9 +199,6 @@ class _EdgePools:
         pool = self._pool(e)
         self.pos[e] = len(pool)
         pool.append(e)
-
-    def sample(self, pool, draws: _Words):
-        return pool[draws.below(len(pool))] if pool else None
 
     def remove(self, e):
         pool = self._pool(e)
@@ -233,7 +229,9 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     labels = partition.assignment
     edges, comm_degree = _initial_graph(config, draws)
     total = 2.0 * config.num_edges
-    ksq = float(np.sum(comm_degree**2))
+    # community degrees and ksq stay ints; every q and dq divides them as
+    # floats, which is exact while (2 * num_edges)**2 < 2**53
+    ksq = sum(d * d for d in comm_degree)
     # the chain links are the skeleton's only inter-community edges
     intra = config.num_edges - (config.communities - 1)
     q = 2.0 * intra / total - ksq / total**2
@@ -250,10 +248,12 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
     pools = _EdgePools(edges, labels)
     n = config.n
 
-    def cross_pair():
-        """A non-edge between two communities, or None after EDGE_RETRY_LIMIT tries."""
+    def cross_pair(keep: int | None = None):
+        """A non-edge between two communities, or None after EDGE_RETRY_LIMIT tries.
+
+        Each try draws both endpoints, or only the partner of `keep` if given."""
         for _ in range(EDGE_RETRY_LIMIT):
-            u = draws.below(n)
+            u = draws.below(n) if keep is None else keep
             v = draws.below(n)
             if labels[u] == labels[v]:
                 continue
@@ -263,55 +263,35 @@ def trajanovski_generate(config: TrajanovskiConfig, q_history: list[float] | Non
             return key
         return None
 
-    def delta_q(removed, added):
-        d_intra = 0
-        deltas: dict[int, float] = {}
-        for (u, v), sign in ((removed, -1.0), (added, 1.0)):
-            cu, cv = labels[u], labels[v]
-            if cu == cv:
-                d_intra += int(sign)
-            deltas[cu] = deltas.get(cu, 0.0) + sign
-            deltas[cv] = deltas.get(cv, 0.0) + sign
-        d_ksq = 0.0
-        for c, d in deltas.items():
-            d_ksq += (comm_degree[c] + d) ** 2 - comm_degree[c] ** 2
-        return 2.0 * d_intra / total - d_ksq / total**2, d_intra, deltas
-
     stale = 0
     while q > config.q_target and stale < _STALE_LIMIT:
-        candidate = None
         if draws.below(2) == 0:  # intra edge -> cross-community pair
-            old = pools.sample(pools.intra, draws)
+            old = pools.intra[draws.below(len(pools.intra))] if pools.intra else None
             new = cross_pair()
-            if old and new:
-                candidate = (old, new)
         else:  # swap one endpoint of an inter edge
-            old = pools.sample(pools.inter, draws)
-            if old:
-                keep = old[draws.below(2)]
-                for _ in range(EDGE_RETRY_LIMIT):
-                    w = draws.below(n)
-                    if w == keep or labels[w] == labels[keep]:
-                        continue
-                    key = (keep, w) if keep < w else (w, keep)
-                    if key in pools.pos:
-                        continue
-                    candidate = (old, key)
-                    break
-        if candidate is None:
+            old = pools.inter[draws.below(len(pools.inter))] if pools.inter else None
+            new = cross_pair(old[draws.below(2)]) if old else None
+        if old is None or new is None:
             stale += 1
             continue
-        dq, d_intra, deltas = delta_q(*candidate)
-        if dq >= -_DECREASE_EPS:
+        d_intra = 0
+        deltas: dict[int, int] = {}
+        for (u, v), sign in ((old, -1), (new, 1)):
+            cu, cv = labels[u], labels[v]
+            if cu == cv:
+                d_intra += sign
+            deltas[cu] = deltas.get(cu, 0) + sign
+            deltas[cv] = deltas.get(cv, 0) + sign
+        d_ksq = sum((comm_degree[c] + d) ** 2 - comm_degree[c] ** 2 for c, d in deltas.items())
+        if 2.0 * d_intra / total - d_ksq / total**2 >= -_DECREASE_EPS:
             stale += 1
             continue
-        old, new = candidate
         pools.remove(old)
         pools.add(new)
         intra += d_intra
+        ksq += d_ksq
         for c, d in deltas.items():
             comm_degree[c] += d
-        ksq = float(np.sum(comm_degree**2))
         q = 2.0 * intra / total - ksq / total**2
         if q_history is not None:
             q_history.append(q)
@@ -386,11 +366,12 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
     attempts for one edge.
 
     Each attempt takes two `random()` draws, for side r and then side s.
-    They are drawn in rounds of at least _MIN_ATTEMPTS attempts and at least
-    the edges the block still needs; each side's endpoints are mapped with
-    one `searchsorted` and the attempts accepted in order. The draws a round
-    leaves unused go to the next round or block, so the graph is the one that
-    a scalar `random()` call per endpoint gives.
+    A round draws them for exactly the edges the block still needs, maps
+    each side's endpoints with one `searchsorted` and accepts the attempts
+    in order. An attempt places at most one edge, so the block fills only on
+    a round's last attempt and every uniform drawn is used: the graph is the
+    one that a scalar `random()` call per endpoint gives. The failure count
+    carries across rounds.
     """
     rng = np.random.default_rng(config.seed)
     labels = np.asarray(config.partition.assignment)
@@ -405,8 +386,6 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
 
     edges: set[tuple[int, int]] = set()
     block = np.asarray(config.block_edges)
-    # drawn and not yet used, two per attempt
-    uniforms = np.empty(0)
     for r in range(m):
         for s in range(r, m):
             count = int(block[r, s])
@@ -414,13 +393,8 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
                 raise ValueError(f"block ({r}, {s}) has edges but a zero-degree group")
             placed = failures = 0
             while placed < count:
-                attempts = max(count - placed, _MIN_ATTEMPTS)
-                if len(uniforms) < 2 * attempts:
-                    uniforms = np.concatenate((uniforms, rng.random(2 * attempts - len(uniforms))))
-                used = 0
-                for u, v in zip(endpoints(r, uniforms[0:2 * attempts:2]),
-                                endpoints(s, uniforms[1:2 * attempts:2])):
-                    used += 1
+                uniforms = rng.random(2 * (count - placed))
+                for u, v in zip(endpoints(r, uniforms[0::2]), endpoints(s, uniforms[1::2])):
                     key = (u, v) if u < v else (v, u)
                     if u == v or key in edges:
                         failures += 1
@@ -433,7 +407,4 @@ def dcsbm_generate(config: DcsbmConfig) -> Graph:
                     edges.add(key)
                     placed += 1
                     failures = 0
-                    if placed == count:
-                        break
-                uniforms = uniforms[2 * used:]
     return Graph.from_edges(len(labels), edges)

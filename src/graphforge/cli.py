@@ -53,6 +53,9 @@ SWEEP_CSV_HEADER = "alpha,modularity_ratio,entropy,attack_rate"
 # the most alphas one sweep grid may hold; each is a fitted distribution and
 # --runs samples, so a larger grid is a mistyped step, not a study
 _MAX_GRID_POINTS = 100_000
+# the most cells (strategies x graphs x runs) one bench design may hold; each
+# draws and scores a graph, so a larger design is a mistyped count, not a study
+_MAX_BENCH_CELLS = 100_000
 
 # the baselines a --strategies list names, besides sgf:<alpha>
 _BASELINES = {"dcsbm": dcsbm_strategy, "trajanovski": trajanovski_strategy}
@@ -251,6 +254,10 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         raise ValueError(f"--runs must be >= 2, got {args.runs}")
     strategies = _parse_strategies(args.strategies, args.rule, args.logistic_k,
                                    args.transformation)
+    cells = len(strategies) * args.graphs * args.runs
+    if cells > _MAX_BENCH_CELLS:
+        raise ValueError(f"design has {cells} cells (strategies x graphs x runs), "
+                         f"more than the {_MAX_BENCH_CELLS} a bench takes")
     dataset = _preset_dataset(args)
     rows = run_experiment(strategies, [dataset], args.runs, args.seed)
     _write_output(args.output_dir, f"bench_{dataset.name}.csv", experiment_csv(rows))

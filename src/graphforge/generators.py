@@ -9,6 +9,7 @@ round out the inputs needed for the normalization study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,9 @@ class LancichinettiConfig:
             raise ValueError(f"need n >= 1, got {self.n}")
         if not 0.0 <= self.mixing < 1.0:
             raise ValueError(f"mixing must lie in [0, 1), got {self.mixing}")
-        if self.mean_degree < 1 or self.mean_community_size < 1:
-            raise ValueError("mean_degree and mean_community_size must be >= 1")
+        # NaN fails every comparison, so it is refused with infinity here
+        if not (1 <= self.mean_degree < math.inf and 1 <= self.mean_community_size < math.inf):
+            raise ValueError("mean_degree and mean_community_size must be finite and >= 1")
         if self.mean_community_size < self.mean_degree:
             raise ValueError("mean_community_size must be >= mean_degree")
 

@@ -399,6 +399,23 @@ def test_trajanovski_dense_fallback_is_exercised():
     assert _outcome(trajanovski_generate, cfg) == _outcome(trajanovski_oracle, cfg)
 
 
+@pytest.mark.parametrize("n, communities", [(5, 5), (12, 12), (30, 30), (6, 1), (12, 1)])
+@pytest.mark.parametrize("q_target", [-math.inf, -0.5])
+def test_trajanovski_degenerate_partitions_equal_former(n, communities, q_target):
+    # communities == n: the intra pool stays empty, yet each migration still
+    # draws its cross pair; communities == 1: no cross pair exists and the
+    # inter pool is empty, so every move is stale and rewiring stalls
+    for seed in range(3):
+        cfg = TrajanovskiConfig(q_target=q_target, communities=communities, n=n,
+                                num_edges=2 * n if communities == 1 else n - 1, seed=seed)
+        history, former_history = [], []
+        outcome = _outcome(trajanovski_generate, cfg, history)
+        assert outcome == _outcome(trajanovski_oracle, cfg, former_history)
+        assert history == former_history
+        if communities == 1:
+            assert history == [0.0] and "rewiring stalled" in outcome[1][0][1]
+
+
 @st.composite
 def _dcsbm_configs(draw):
     """Block-model inputs read off a random graph. Near-complete graphs and
@@ -416,21 +433,19 @@ def _dcsbm_configs(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(cfg=_dcsbm_configs(), min_attempts=st.integers(1, 64))
-def test_dcsbm_equals_former_scalar_draws(cfg, min_attempts):
-    # rounds shorter than EDGE_RETRY_LIMIT make every "too dense" failure run
-    # straddle a round boundary, and with it the end of a bulk draw
-    with mock.patch.object(baselines, "_MIN_ATTEMPTS", min_attempts):
-        assert _outcome(dcsbm_generate, cfg) == _outcome(dcsbm_oracle, cfg)
+@given(cfg=_dcsbm_configs())
+def test_dcsbm_equals_former_scalar_draws(cfg):
+    # a round holds only the attempts its block still needs, so a run of
+    # failed attempts straddles round boundaries, and with them bulk draws
+    assert _outcome(dcsbm_generate, cfg) == _outcome(dcsbm_oracle, cfg)
 
 
-@pytest.mark.parametrize("min_attempts", [1, 7, 32, 64, 99])
-def test_dcsbm_too_dense_across_rounds_equals_former(min_attempts):
+@pytest.mark.parametrize("seed", [1, 7, 32, 64, 99])
+def test_dcsbm_too_dense_across_rounds_equals_former(seed):
     # three of the four edges fit; the fourth fails EDGE_RETRY_LIMIT times
-    # in a row over several rounds, each shorter than that run
+    # in a row over rounds of one attempt each
     cfg = DcsbmConfig(degrees=(3, 3, 2), partition=Partition((0, 0, 0)),
-                      block_edges=((4,),), seed=5)
-    with mock.patch.object(baselines, "_MIN_ATTEMPTS", min_attempts):
-        outcome = _outcome(dcsbm_generate, cfg)
+                      block_edges=((4,),), seed=seed)
+    outcome = _outcome(dcsbm_generate, cfg)
     assert outcome == _outcome(dcsbm_oracle, cfg)
     assert outcome[0] == "ValueError: block (0, 0) too dense: could not place 4 distinct edges"

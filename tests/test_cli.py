@@ -189,6 +189,11 @@ def test_bench_subcommand_and_determinism(tmp_path):
     (["--preset", "lancichinetti", "--runs", "1"], "--runs must be >= 2"),
     (["--preset", "lancichinetti", "--nodes", "0"], "n >= 1"),
     (["--preset", "lancichinetti", "--nodes", "-5"], "n >= 1"),
+    (["--preset", "lancichinetti", "--nodes", "50", "--mean-degree", "nan"],
+     "must be finite and >= 1"),
+    (["--graphs", "1", "--runs", "200000000", "--strategies", "dcsbm"],
+     "design has 200000000 cells"),
+    (["--graphs", "1000000000", "--runs", "2"], "more than the 100000 a bench takes"),
 ])
 def test_bench_checks_design_before_drawing(tmp_path, capsys, no_draw, flags, message):
     # a bad knob is an error of the whole design, not a failed run: it must

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,9 @@ def test_lancichinetti_validation():
         LancichinettiConfig(n=50, mean_degree=4, mean_community_size=20, mixing=1.0)
     with pytest.raises(ValueError, match="mean_community_size"):
         LancichinettiConfig(n=50, mean_degree=25, mean_community_size=20, mixing=0.1)
+    # every comparison with NaN is false, so a bare `< 1` test lets NaN through
+    for mean_degree, mean_size in ((math.nan, 20), (4, math.nan), (math.inf, math.inf),
+                                   (4, math.inf), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="must be finite and >= 1"):
+            LancichinettiConfig(n=50, mean_degree=mean_degree, mean_community_size=mean_size,
+                                mixing=0.1)
