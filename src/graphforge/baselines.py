@@ -52,6 +52,10 @@ def community_skeleton_partition(n: int, communities: int) -> Partition:
 
 @dataclass(frozen=True)
 class TrajanovskiConfig:
+    """A rewiring target: n nodes in `communities` near-equal blocks joined
+    by num_edges edges. num_edges runs from n - 1 (and at least 1, since
+    modularity is undefined without edges) to the skeleton's capacity."""
+
     q_target: float
     communities: int
     n: int
@@ -63,6 +67,8 @@ class TrajanovskiConfig:
             raise ValueError("q_target must be a number, not NaN")
         if self.communities < 1 or self.communities > self.n:
             raise ValueError("need 1 <= communities <= n")
+        if self.num_edges < 1:
+            raise ValueError("need num_edges >= 1: modularity is undefined without edges")
         if self.num_edges < self.n - 1:
             raise ValueError(
                 f"need at least n-1 = {self.n - 1} edges to connect the skeleton"

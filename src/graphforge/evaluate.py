@@ -2,8 +2,8 @@
 normalization study, and the distance-vector de-anonymization attack.
 
 The harness and the sweep run their independent cells through
-`_map_cells`, on every free core when the call is large enough, with the
-same results as a plain loop.
+`_map_cells`, on every free core that memory allows, with the same results
+as a plain loop.
 
 Ratios compare a generated graph against its input: 1 means the property is
 preserved. Undefined ratios (zero denominators, zero-variance correlations)
@@ -49,13 +49,6 @@ def seed_from(*parts: int) -> int:
 
 T = TypeVar("T")
 
-# calls whose cells score fewer graph nodes than this in total run in a loop.
-# A fork pool costs ~19 ms to start and close. run_experiment on girvan
-# n = 128 inputs (2 CPUs, one BLAS thread, medians of 12 calls in each of two
-# rounds) took 75-89 ms in the loop and 67-77 ms forked at 4 cells (512
-# nodes), and 262-314 ms and 177-193 ms at 12 cells (1536 nodes)
-_PARALLEL_MIN_NODES = 1000
-
 # the cell function of a forked worker, set by its initializer
 _worker_cell: Callable[[int], object] | None = None
 
@@ -97,23 +90,23 @@ def _run_cell(index: int):
     return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _map_cells(cell: Callable[[int], T], count: int, nodes: int, cell_bytes: int) -> list[T]:
-    """[cell(i) for i in range(count)], on every free core when that pays.
+def _map_cells(cell: Callable[[int], T], count: int, cell_bytes: int) -> list[T]:
+    """[cell(i) for i in range(count)], on every free core memory allows.
 
-    `nodes` is the total node count of the graphs the cells score and
-    `cell_bytes` the dense-array peak of one cell. With two free cores (see
-    `_free_cores`), two cells, `nodes` >= _PARALLEL_MIN_NODES and room in
-    physical memory for two cells at once, the cells run in a "fork" pool
-    made for this call. Its workers inherit `cell` and all it reaches without
-    pickling, and each cell runs the serial code with the serial seeds, so
-    the results are the loop's. The pool has no more workers than cells fit
-    in memory at once, and is closed before this returns. Warnings raised in
-    the cells are re-emitted in cell order, and the first failing cell's
-    exception is raised after the warnings of the cells before it, as the
-    loop would.
+    `cell_bytes` is the dense-array peak of one cell. With two free cores
+    (see `_free_cores`), two cells and room in physical memory for two cells
+    at once, the cells run in a "fork" pool made for this call; otherwise
+    they run in a loop. The workers inherit `cell` and all it reaches
+    without pickling, and each cell runs the serial code with the serial
+    seeds, so the results are the loop's. The pool has no more workers than
+    cells fit in memory at once, and is closed before this returns. Its
+    fixed cost (up to ~35 ms) outweighs the gain only on the smallest calls;
+    a cell's cost is not known before it runs. Warnings raised in the cells
+    are re-emitted in cell order, and the first failing cell's exception is
+    raised after the warnings of the cells before it, as the loop would.
     """
     workers = min(_free_cores(), count, dense_budget() // max(cell_bytes, 1))
-    if workers < 2 or nodes < _PARALLEL_MIN_NODES:
+    if workers < 2:
         return [cell(i) for i in range(count)]
     with multiprocessing.get_context("fork").Pool(workers, _install_cell, (cell,)) as pool:
         outcomes = pool.map(_run_cell, range(count), chunksize=1)
@@ -322,9 +315,8 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
     graphs = [graph for dataset in datasets for graph in dataset.graphs]
     for graph in graphs:
         average_clustering(graph)  # fills the CSR and clustering caches the cells read
-    reports = iter(_map_cells(
-        cell, len(cells), len(strategies) * runs_per_pair * sum(g.n for g in graphs),
-        forge_dense_bytes(max((g.n for g in graphs), default=0))))
+    reports = iter(_map_cells(cell, len(cells),
+                              forge_dense_bytes(max((g.n for g in graphs), default=0))))
 
     rows: list[ExperimentRow] = []
     for strategy in strategies:
@@ -591,5 +583,5 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
 
     graph.csr  # noqa: B018 - fills the CSR cache the cells read
     n = graph.n
-    return _map_cells(cell, len(configs), len(configs) * runs * n,
+    return _map_cells(cell, len(configs),
                       forge_dense_bytes(n) + _attack_dense_bytes(n, math.ceil(seed_fraction * n)))

@@ -1,4 +1,7 @@
+import contextlib
 import itertools
+import signal
+import time
 import warnings
 from collections import Counter
 
@@ -15,6 +18,39 @@ from graphforge.baselines import (
     community_skeleton_partition,
 )
 from graphforge.graph import Graph, degree_vector
+
+# wall-clock limit on each test's setup, call and teardown together, so that a
+# loop that stops making progress fails instead of hanging the run. No test
+# comes near it (the slowest takes ~10 s); a subprocess under its own timeout
+# of up to this long is still killed, as the failure unwinds through
+# subprocess.run.
+TEST_TIME_LIMIT_S = 300
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Fail the running test if the body takes more than `seconds` of wall
+    time. An enclosing limit is restored, less the time spent here, on exit.
+    Forked children do not inherit the timer."""
+    def expire(signum, frame):
+        pytest.fail(f"exceeded the {seconds} s time limit")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    with _time_limit(TEST_TIME_LIMIT_S):
+        yield
 
 
 def complete_graph(n: int) -> Graph:

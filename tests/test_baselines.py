@@ -106,6 +106,9 @@ def test_trajanovski_validation():
         TrajanovskiConfig(q_target=0.5, communities=2, n=10, num_edges=5)
     with pytest.raises(ValueError, match="capacity"):
         TrajanovskiConfig(q_target=0.5, communities=2, n=6, num_edges=10)
+    # one node needs no edge to connect, but the modularity would divide by 0
+    with pytest.raises(ValueError, match="modularity is undefined without edges"):
+        TrajanovskiConfig(q_target=0.0, communities=1, n=1, num_edges=0)
     # a NaN target compares false with every modularity, so it would return
     # the unrewired skeleton without a warning
     with pytest.raises(ValueError, match="NaN"):

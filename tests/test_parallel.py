@@ -3,8 +3,7 @@ of the serial loop, leaves no process behind, and reports errors and
 warnings as the loop does.
 
 Each path is forced by setting the free core count `_map_cells` observes; the
-size threshold and the memory cap are left as shipped unless a test says
-otherwise.
+memory cap is left as shipped unless a test says otherwise.
 """
 
 import multiprocessing
@@ -19,7 +18,7 @@ import pytest
 
 from graphforge import evaluate
 from graphforge.cli import dispatch
-from graphforge.evaluate import Dataset, Strategy, run_experiment, trajanovski_strategy
+from graphforge.evaluate import Dataset, run_experiment, trajanovski_strategy
 from graphforge.forge import SpectralModel
 from graphforge.generators import PlantedPartitionConfig, planted_partition
 from graphforge.graph import dense_budget, write_edge_list
@@ -67,10 +66,22 @@ def _run_both_paths(monkeypatch, pools, tmp_path, argv, name):
     return outputs
 
 
-def test_sweep_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path, planted_500):
+@pytest.fixture
+def small_input(tmp_path):
+    graph, _ = planted_partition(PlantedPartitionConfig(
+        n=40, communities=2, p_in=0.4, p_out=0.05, seed=3))
+    path = tmp_path / "small.el"
+    path.write_text(write_edge_list(graph))
+    return path
+
+
+# the 40-node input's cells run Louvain's chain refinement
+@pytest.mark.parametrize("graph_input", ["planted_500", "small_input"])
+def test_sweep_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path, request,
+                                                     graph_input):
     outputs = _run_both_paths(monkeypatch, pools, tmp_path, [
-        "sweep", "--input", str(planted_500), "--alphas", "0.1:0.9:0.4", "--runs", "2",
-        "--seed", "7"], "sweep.csv")
+        "sweep", "--input", str(request.getfixturevalue(graph_input)), "--alphas",
+        "0.1:0.9:0.4", "--runs", "2", "--seed", "7"], "sweep.csv")
     assert outputs[1] == outputs[2]
 
 
@@ -112,23 +123,8 @@ def test_sweep_forks_safely_while_blas_threads_run(tmp_path, planted_500):
     assert serial == parallel
 
 
-def _forced(monkeypatch):
-    """Take the forked path on any input."""
-    _cores(monkeypatch, 2)
-    monkeypatch.setattr(evaluate, "_PARALLEL_MIN_NODES", 0)
-
-
-@pytest.fixture
-def small_input(tmp_path):
-    graph, _ = planted_partition(PlantedPartitionConfig(
-        n=40, communities=2, p_in=0.4, p_out=0.05, seed=3))
-    path = tmp_path / "small.el"
-    path.write_text(write_edge_list(graph))
-    return path
-
-
 def test_no_worker_outlives_a_call(monkeypatch, pools, tmp_path, small_input, capsys):
-    _forced(monkeypatch)
+    _cores(monkeypatch, 2)
     argv = ["sweep", "--input", str(small_input), "--alphas", "0.1:0.9:0.4", "--runs", "1"]
     assert dispatch(argv + ["--output-dir", str(tmp_path / "ok")]) == 0
     assert multiprocessing.active_children() == []
@@ -145,7 +141,7 @@ def test_no_worker_outlives_a_call(monkeypatch, pools, tmp_path, small_input, ca
 
 def test_sweep_reports_the_lowest_failing_cell(monkeypatch, tmp_path, small_input, capsys):
     # cell 1 fails last in time and cell 2 first; the loop would stop at cell 1
-    _forced(monkeypatch)
+    _cores(monkeypatch, 2)
     at = SpectralModel.at
 
     def slow_failures(self, alpha, rule="truncate", logistic_k=6.0):
@@ -167,7 +163,7 @@ def test_sweep_reports_the_lowest_failing_cell(monkeypatch, tmp_path, small_inpu
 
 def test_warnings_of_parallel_cells_reach_the_caller(monkeypatch, pools):
     # disjoint cliques beat any connected skeleton, so the rewirer warns
-    _forced(monkeypatch)
+    _cores(monkeypatch, 2)
     dataset = Dataset("cliques", (disjoint_cliques(4, 4), disjoint_cliques(5, 5)))
     with pytest.warns(UserWarning, match="exceeds skeleton") as caught:
         run_experiment([trajanovski_strategy()], [dataset], 2, rng_seed=3)
@@ -180,33 +176,14 @@ def _cell_pid(index):
     return os.getpid()
 
 
-def test_small_calls_and_tight_memory_run_in_process(monkeypatch, pools):
+def test_tight_memory_runs_in_process(monkeypatch, pools):
     _cores(monkeypatch, 2)
     here = os.getpid()
-    threshold = evaluate._PARALLEL_MIN_NODES
-    assert evaluate._map_cells(_cell_pid, 3, threshold - 1, 0) == [here] * 3
     # one cell's dense arrays take all of memory: cells run one at a time
-    assert evaluate._map_cells(_cell_pid, 3, threshold, dense_budget()) == [here] * 3
+    assert evaluate._map_cells(_cell_pid, 3, dense_budget()) == [here] * 3
     assert pools == []
-    pids = evaluate._map_cells(_cell_pid, 3, threshold, dense_budget() // 2)
+    pids = evaluate._map_cells(_cell_pid, 3, dense_budget() // 2)
     assert here not in pids and pools == ["fork"]
-
-
-def test_tiny_bench_runs_in_process(monkeypatch, pools):
-    # a cell that ran in a worker would fail and show as a failures row
-    _cores(monkeypatch, 2)
-    here = os.getpid()
-
-    def make(graph, seed):
-        if os.getpid() != here:
-            raise RuntimeError("ran in a worker")
-        return graph
-
-    rows = run_experiment([Strategy("same", make)],
-                          [Dataset("d", (disjoint_cliques(6, 6), disjoint_cliques(4, 4, 4)))],
-                          3, rng_seed=1)
-    assert pools == []
-    assert "failures" not in {row.metric for row in rows}
 
 
 def _warn_or_fail(index):
@@ -228,14 +205,14 @@ def _unpicklable_failure(index):
 
 
 def test_cell_errors_and_warnings_come_back_in_cell_order(monkeypatch):
-    _forced(monkeypatch)
+    _cores(monkeypatch, 2)
     with pytest.warns(UserWarning) as caught, pytest.raises(ValueError, match="cell 1 fails"):
-        evaluate._map_cells(_warn_or_fail, 3, 0, 0)
+        evaluate._map_cells(_warn_or_fail, 3, 0)
     # the loop would have warned in cells 0 and 1 and stopped at cell 1
     assert [str(w.message) for w in caught] == ["cell 0 warns", "cell 1 warns"]
     assert all(Path(w.filename).name == "test_parallel.py" for w in caught)
     with pytest.raises(RuntimeError, match="_LocalError: 0: no single-argument constructor"):
-        evaluate._map_cells(_unpicklable_failure, 2, 0, 0)
+        evaluate._map_cells(_unpicklable_failure, 2, 0)
     assert multiprocessing.active_children() == []
 
 
