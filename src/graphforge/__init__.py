@@ -29,6 +29,7 @@ from .evaluate import (
     modularity_ratio,
     normalization_study,
     run_experiment,
+    score_input,
     sgf_strategy,
     trajanovski_strategy,
 )

@@ -13,6 +13,7 @@ number.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -42,7 +43,14 @@ STUDY_CSV_HEADER = "graph,family,alpha,rule,dist_spectral,dist_normed,entropy"
 
 
 def seed_from(*parts: int) -> int:
-    """Deterministic 64-bit sub-seed from a tuple of integers."""
+    """Deterministic 64-bit sub-seed from a tuple of non-negative integers.
+
+    The parts are the entropy of an `np.random.SeedSequence`, which splits
+    each part into 32-bit words (a part of 2^32 or more takes two) and pads
+    fewer than 4 words with zero words. So zeros appended up to 4 words
+    change nothing: seed_from(5) == seed_from(5, 0) == seed_from(5, 0, 0, 0).
+    Tags that must draw apart have to differ after that padding.
+    """
     ss = np.random.SeedSequence(entropy=list(parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -144,38 +152,53 @@ class MetricsReport:
         return items
 
 
-def _maximized(input_graph: Graph, output_graph: Graph, rng_seed: int):
+Score = tuple[Partition, float]
+
+
+def score_input(graph: Graph, rng_seed: int) -> Score:
+    """(partition, Q*) of a graph under the Louvain seed that
+    compare(graph, output, rng_seed) gives both of its graphs."""
+    return louvain_maximize(graph, seed_from(rng_seed, 0))
+
+
+def _maximized(input_graph: Graph, output_graph: Graph, rng_seed: int,
+               input_score: Score | None = None):
     """(modularity ratio, input community count, output community count).
 
-    Both graphs are maximized with the same Louvain seed. An edgeless output
-    scores Q* = 0 with every node in its own community; the ratio is None
-    when the input's Q* is 0.
+    Both graphs are maximized with the same Louvain seed. `input_score`, when
+    given, is score_input(input_graph, rng_seed) computed beforehand, and
+    the input is not maximized again. An edgeless output scores Q* = 0 with
+    every node in its own community; the ratio is None when the input's Q*
+    is 0.
     """
     if input_graph.n != output_graph.n:
         raise ValueError("input and output graphs must have the same node count")
-    louvain_seed = seed_from(rng_seed, 0)
-    part_in, q_in = louvain_maximize(input_graph, louvain_seed)
+    part_in, q_in = input_score or score_input(input_graph, rng_seed)
     if output_graph.num_edges > 0:
-        part_out, q_out = louvain_maximize(output_graph, louvain_seed)
+        part_out, q_out = louvain_maximize(output_graph, seed_from(rng_seed, 0))
         m_out = part_out.m
     else:
         q_out, m_out = 0.0, output_graph.n
     return (None if abs(q_in) < 1e-12 else q_out / q_in), part_in.m, m_out
 
 
-def modularity_ratio(input_graph: Graph, output_graph: Graph, rng_seed: int) -> float | None:
-    """Q*_out / Q*_in, the modularity_ratio field of compare(input, output, rng_seed)."""
-    return _maximized(input_graph, output_graph, rng_seed)[0]
+def modularity_ratio(input_graph: Graph, output_graph: Graph, rng_seed: int,
+                     input_score: Score | None = None) -> float | None:
+    """Q*_out / Q*_in, the modularity_ratio field of compare with the same arguments."""
+    return _maximized(input_graph, output_graph, rng_seed, input_score)[0]
 
 
-def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsReport:
+def compare(input_graph: Graph, output_graph: Graph, rng_seed: int,
+            input_score: Score | None = None) -> MetricsReport:
     """All paired metrics for one (input, output) pair.
 
     Both graphs are scored with identically seeded maximization so that
-    compare(g, g, seed) returns exact 1 ratios. The output inherits the
-    input's attributes by index for the attribute rows.
+    compare(g, g, seed) returns exact 1 ratios. `input_score` is a cache:
+    passing score_input(input_graph, rng_seed) gives the same report
+    without maximizing the input again. The output inherits the input's
+    attributes by index for the attribute rows.
     """
-    mod_ratio, m_in, m_out = _maximized(input_graph, output_graph, rng_seed)
+    mod_ratio, m_in, m_out = _maximized(input_graph, output_graph, rng_seed, input_score)
     part_ratio = m_out / m_in
 
     clust_in = average_clustering(input_graph)
@@ -211,10 +234,11 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int) -> MetricsRe
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named graph generator: (input graph, seed) -> output graph."""
+    """A named graph generator: (input graph, seed, input score) -> output
+    graph, where the score is the input's (partition, Q*) from `score_input`."""
 
     name: str
-    make: Callable[[Graph, int], Graph]
+    make: Callable[[Graph, int, Score], Graph]
 
 
 def sgf_strategy(alpha: float, rule: str = "truncate", logistic_k: float = forge_mod.DEFAULT_LOGISTIC_K,
@@ -223,7 +247,7 @@ def sgf_strategy(alpha: float, rule: str = "truncate", logistic_k: float = forge
     cfg = ForgeConfig(alpha=alpha, rule=rule, logistic_k=logistic_k,
                       transformation=transformation)
 
-    def make(graph: Graph, seed: int) -> Graph:
+    def make(graph: Graph, seed: int, input_score: Score) -> Graph:
         return forge_mod.forge(graph, replace(cfg, seed=seed))
 
     return Strategy(name=f"sgf:{alpha:g}", make=make)
@@ -232,25 +256,25 @@ def sgf_strategy(alpha: float, rule: str = "truncate", logistic_k: float = forge
 def dcsbm_strategy() -> Strategy:
     """Block-model baseline parameterized from each input graph.
 
-    The group assignment is the input's modularity-maximizing partition; the
-    degree sequence and per-block edge counts are read off the input.
+    The group assignment is the partition of the input's score; the degree
+    sequence and per-block edge counts are read off the input. A run with
+    seed `seed` samples with seed_from(seed, 2).
     """
 
-    def make(graph: Graph, seed: int) -> Graph:
-        part, _ = louvain_maximize(graph, seed_from(seed, 1))
-        cfg = baselines.dcsbm_config_from(graph, part)
+    def make(graph: Graph, seed: int, input_score: Score) -> Graph:
+        cfg = baselines.dcsbm_config_from(graph, input_score[0])
         return baselines.dcsbm_generate(replace(cfg, seed=seed_from(seed, 2)))
 
     return Strategy(name="dcsbm", make=make)
 
 
 def trajanovski_strategy() -> Strategy:
-    """Rewiring baseline parameterized from each input graph: its maximized
-    modularity becomes the target, with matching node, edge, and community
-    counts."""
+    """Rewiring baseline parameterized from each input graph: the Q* of its
+    score becomes the target, with matching node, edge, and community
+    counts. A run with seed `seed` rewires with seed_from(seed, 2)."""
 
-    def make(graph: Graph, seed: int) -> Graph:
-        part, q_star = louvain_maximize(graph, seed_from(seed, 1))
+    def make(graph: Graph, seed: int, input_score: Score) -> Graph:
+        part, q_star = input_score
         cfg = baselines.TrajanovskiConfig(
             q_target=q_star, communities=part.m, n=graph.n,
             num_edges=graph.num_edges, seed=seed_from(seed, 2),
@@ -292,9 +316,15 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
                    runs_per_pair: int, rng_seed: int) -> list[ExperimentRow]:
     """Run every strategy against every dataset graph and aggregate metrics.
 
-    Each (strategy, dataset, graph, run) cell owns a sub-seed derived from
-    the master seed and its indices. Failed runs are excluded from
-    aggregates and surface as a `failures` row.
+    Each input graph is maximized once per process, with
+    score_input(graph, seed_from(rng_seed, 0, di, gi, 0, 2)) for graph `gi`
+    of dataset `di`, and that score serves every cell of the graph: the
+    strategy's fit, Q*_in, and the Louvain seed of each output. The
+    strategy of cell (si, di, gi, run) makes its output with
+    seed_from(rng_seed, si, di, gi, run, 0). A cell computes the score when
+    it first needs it, so the forked workers share the work. Failed runs,
+    including inputs that cannot be scored, are excluded from aggregates
+    and surface as a `failures` row.
     """
     if runs_per_pair < 2:
         raise ValueError("runs_per_pair must be >= 2")
@@ -303,12 +333,21 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
              for di, dataset in enumerate(datasets)
              for gi in range(len(dataset.graphs)) for run in range(runs_per_pair)]
 
+    def score_seed(di: int, gi: int) -> int:
+        return seed_from(rng_seed, 0, di, gi, 0, 2)
+
+    @functools.cache  # one per process: a forked worker fills its own copy
+    def scored(di: int, gi: int) -> Score:
+        return score_input(datasets[di].graphs[gi], score_seed(di, gi))
+
     def cell(index: int) -> MetricsReport | None:
         si, di, gi, run = cells[index]
         graph = datasets[di].graphs[gi]
         try:
-            output = strategies[si].make(graph, seed_from(rng_seed, si, di, gi, run, 0))
-            return compare(graph, output, seed_from(rng_seed, si, di, gi, run, 1))
+            input_score = scored(di, gi)
+            output = strategies[si].make(graph, seed_from(rng_seed, si, di, gi, run, 0),
+                                         input_score)
+            return compare(graph, output, score_seed(di, gi), input_score)
         except Exception:  # noqa: BLE001 - strategy failures become rows
             return None
 
@@ -555,9 +594,11 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
 
     The decomposition depends on the input only and P on the input and
     alpha, so one fit serves the grid, and one distribution per alpha gives
-    the entropy and every run's sample. Run `run` of alpha index `ai` samples
-    with seed_from(rng_seed, ai, run, 0), maximizes modularity with
-    seed_from(rng_seed, ai, run, 1) and attacks with seed_from(rng_seed, ai,
+    the entropy and every run's sample. The input is maximized once per
+    process, with score_input(graph, seed_from(rng_seed, 0, 0, 3)); every
+    run's ratio reads that score and maximizes its output under the same
+    Louvain seed. Run `run` of alpha index `ai` samples with
+    seed_from(rng_seed, ai, run, 0) and attacks with seed_from(rng_seed, ai,
     run, 2). Every knob is checked before the fit.
     """
     if runs < 1:
@@ -566,6 +607,11 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
                            transformation=transformation) for alpha in alphas]
     attack = AttackConfig(seed_fraction=seed_fraction)
     model = fit(graph, transformation)
+    score_seed = seed_from(rng_seed, 0, 0, 3)
+
+    @functools.cache  # one per process: a forked worker fills its own copy
+    def scored() -> Score:
+        return score_input(graph, score_seed)
 
     def cell(ai: int) -> SweepRow:
         cfg = configs[ai]
@@ -575,7 +621,7 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
         rates: list[float] = []
         for run in range(runs):
             out = dist.sample(seed_from(rng_seed, ai, run, 0))
-            ratio = modularity_ratio(graph, out, seed_from(rng_seed, ai, run, 1))
+            ratio = modularity_ratio(graph, out, score_seed, scored())
             if ratio is not None:
                 ratios.append(ratio)
             rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(rng_seed, ai, run, 2))))

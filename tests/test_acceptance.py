@@ -27,7 +27,7 @@ from graphforge.evaluate import (
     seed_from,
     sgf_strategy,
 )
-from graphforge.forge import ForgeConfig, forge, normalized_entropy
+from graphforge.forge import ForgeConfig, fit, forge, normalized_entropy
 from graphforge.generators import (
     GIRVAN_COMMUNITIES,
     GIRVAN_NODES,
@@ -337,14 +337,18 @@ def test_c09_block_model_fidelity():
 def test_c10_privacy_utility_tradeoff():
     g, _ = planted_partition(PlantedPartitionConfig(
         n=500, communities=5, p_in=0.25, p_out=0.01, seed=1010))
+    # forge(g, cfg) is fit(g).at(alpha).sample(seed) for an input without
+    # attributes, so one fit draws the same graphs as 30 forge calls
+    model = fit(g)
     rates: dict[float, list[float]] = {}
     ratios: dict[float, list[float]] = {}
     for alpha in (0.9, 0.25, 0.1):
         rates[alpha] = []
         ratios[alpha] = []
+        dist = model.at(alpha)
         for trial in range(10):
             key = int(alpha * 100)
-            out = forge(g, ForgeConfig(alpha=alpha, seed=seed_from(1011, key, trial)))
+            out = dist.sample(seed_from(1011, key, trial))
             rates[alpha].append(dv_attack(g, out, AttackConfig(
                 seed_fraction=0.05, seed=seed_from(1012, key, trial))))
             report = compare(g, out, seed_from(1013, key, trial))

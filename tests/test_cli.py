@@ -179,6 +179,16 @@ def test_bench_subcommand_and_determinism(tmp_path):
     assert strategies == {"sgf:0.9", "dcsbm"}
 
 
+def test_bench_keeps_an_unscorable_input_as_a_failures_row(tmp_path):
+    # the one-node input has no edges, so Louvain refuses to score it
+    rc = dispatch(["bench", "--preset", "planted", "--nodes", "1", "--communities", "1",
+                   "--p-in", "0.5", "--p-out", "0.1", "--graphs", "1", "--runs", "2",
+                   "--strategies", "trajanovski", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "bench_planted.csv").read_text().splitlines()[1:] == [
+        "trajanovski,planted,failures,2.0,NA,NA,2"]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--strategies", "sgf:1.5"], "alpha must lie in [0, 1]"),
     (["--strategies", "sgf:nan"], "alpha must lie in [0, 1]"),

@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
 
+from graphforge import evaluate
+from graphforge.community import louvain_maximize
 from graphforge.evaluate import (
     AttackConfig,
     Dataset,
     Strategy,
+    alpha_sweep,
     compare,
     dcsbm_strategy,
     dv_attack,
     experiment_csv,
+    modularity_ratio,
     normalization_study,
     random_guess_rate,
     run_experiment,
+    score_input,
+    seed_from,
     sgf_strategy,
     study_csv,
     trajanovski_strategy,
 )
-from graphforge.forge import normalize, normalized_entropy
+from graphforge.forge import ForgeConfig, forge, normalize, normalized_entropy
 from graphforge.generators import (
+    GIRVAN_COMMUNITIES,
+    GIRVAN_NODES,
+    GIRVAN_P_IN,
+    GIRVAN_P_OUT,
     PlantedPartitionConfig,
     barabasi_albert,
     erdos_renyi,
@@ -117,7 +127,7 @@ def test_run_experiment_requires_two_runs(two_k4):
 
 
 def test_run_experiment_records_failures(two_k4):
-    def boom(graph, seed):
+    def boom(graph, seed, input_score):
         raise ValueError("nope")
 
     rows = run_experiment([Strategy("boom", boom)],
@@ -136,16 +146,118 @@ def test_run_experiment_deterministic(two_k4):
 
 
 def test_baseline_strategies_produce_graphs(two_k4):
-    out = dcsbm_strategy().make(two_k4, 5)
+    input_score = score_input(two_k4, 5)
+    out = dcsbm_strategy().make(two_k4, 5, input_score)
     assert out.n == two_k4.n
     assert out.num_edges == two_k4.num_edges
 
     # disjoint cliques beat any connected skeleton, so the rewirer warns
     # and returns its best-effort start
     with pytest.warns(UserWarning, match="exceeds skeleton"):
-        out = trajanovski_strategy().make(two_k4, 5)
+        out = trajanovski_strategy().make(two_k4, 5, input_score)
     assert out.n == two_k4.n
     assert out.num_edges == two_k4.num_edges
+
+
+def _girvan_graphs(count, seed):
+    return tuple(planted_partition(PlantedPartitionConfig(
+        n=GIRVAN_NODES, communities=GIRVAN_COMMUNITIES, p_in=GIRVAN_P_IN,
+        p_out=GIRVAN_P_OUT, seed=seed + i))[0] for i in range(count))
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    monkeypatch.setattr(evaluate, "_free_cores", lambda: 1)
+
+
+@pytest.fixture
+def maximized(monkeypatch):
+    """The graphs `louvain_maximize` is called on, in call order."""
+    calls = []
+
+    def spy(graph, rng_seed):
+        calls.append(graph)
+        return louvain_maximize(graph, rng_seed)
+
+    monkeypatch.setattr(evaluate, "louvain_maximize", spy)
+    return calls
+
+
+def _bench_girvan_strategies():
+    return [sgf_strategy(0.9), dcsbm_strategy(), trajanovski_strategy()]
+
+
+def test_run_experiment_maximizes_each_input_once(serial, maximized):
+    graphs = _girvan_graphs(2, seed=40)
+    run_experiment(_bench_girvan_strategies(), [Dataset("girvan", graphs)], 2, rng_seed=5)
+    inputs = [g for g in maximized if any(g is h for h in graphs)]
+    assert len(inputs) == 2 and inputs[0] is not inputs[1]
+    assert len(maximized) == 2 + 3 * 2 * 2  # and one per output
+
+
+def test_alpha_sweep_maximizes_its_input_once(serial, maximized):
+    graph, _ = planted_partition(PlantedPartitionConfig(
+        n=96, communities=3, p_in=0.3, p_out=0.03, seed=5))
+    alpha_sweep(graph, [0.1, 0.5, 0.9], runs=2, rng_seed=9)
+    assert len([g for g in maximized if g is graph]) == 1
+    assert len(maximized) == 1 + 3 * 2
+
+
+@pytest.fixture
+def top_level_seeds(monkeypatch):
+    """The sub-seeds evaluate derives, as {parts: seed}."""
+    derived = {}
+
+    def spy(*parts):
+        derived[parts] = seed_from(*parts)
+        return derived[parts]
+
+    monkeypatch.setattr(evaluate, "seed_from", spy)
+    return derived
+
+
+def _distinct_seeds(derived, rng_seed):
+    """Seeds derived straight from rng_seed, after checking that each tag
+    draws a seed of its own."""
+    seeds = {parts: seed for parts, seed in derived.items() if parts[0] == rng_seed}
+    assert len(set(seeds.values())) == len(seeds)
+    return seeds
+
+
+def test_input_score_seeds_differ_from_every_cell_seed(serial, top_level_seeds):
+    # seed_from pads short tags with zeros, so seed_from(s) is the seed of
+    # the sweep's first sample, seed_from(s, 0, 0, 0)
+    assert seed_from(3) == seed_from(3, 0, 0, 0)
+    run_experiment(_bench_girvan_strategies(), [Dataset("girvan", _girvan_graphs(2, 40))],
+                   2, rng_seed=3)
+    # 12 cells' strategy seeds and 2 input score seeds
+    assert len(_distinct_seeds(top_level_seeds, 3)) == 12 + 2
+    top_level_seeds.clear()
+    graph, _ = planted_partition(PlantedPartitionConfig(
+        n=48, communities=2, p_in=0.4, p_out=0.05, seed=2))
+    alpha_sweep(graph, [0.1, 0.5, 0.9], runs=1, rng_seed=3)
+    # 3 cells' sample and attack seeds and 1 input score seed
+    assert len(_distinct_seeds(top_level_seeds, 3)) == 3 * 2 + 1
+
+
+def test_identity_strategy_reads_exactly_one(serial):
+    identity = Strategy("identity", lambda graph, seed, input_score: graph)
+    rows = run_experiment([identity], [Dataset("girvan", _girvan_graphs(2, 60))], 3,
+                          rng_seed=8)
+    ratio = next(r for r in rows if r.metric == "modularity_ratio")
+    assert ratio.mean == 1.0 and ratio.std == 0.0
+
+
+def test_compare_with_a_precomputed_score_equals_compare():
+    graph, blocks = planted_partition(PlantedPartitionConfig(
+        n=60, communities=3, p_in=0.4, p_out=0.05, seed=12))
+    graph = graph.with_attributes({"block": blocks.assignment})
+    out = forge(graph, ForgeConfig(alpha=0.6, seed=4))
+    for seed in (0, 31):
+        score = louvain_maximize(graph, seed_from(seed, 0))
+        assert compare(graph, out, seed, input_score=score) == compare(graph, out, seed)
+        assert (modularity_ratio(graph, out, seed, input_score=score)
+                == compare(graph, out, seed).modularity_ratio)
 
 
 def test_experiment_csv_format(two_k4):

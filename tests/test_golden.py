@@ -12,6 +12,16 @@ community) leaves the fixed-partition modularity unchanged, so it was never
 accepted, but its draws fed the random stream of every later move. Only the
 `trajanovski` rows of the two CSVs changed; every other row kept its bytes.
 
+The `lancichinetti` preset hash was re-recorded a second time when `bench`
+began to maximize each input graph once per call, with one Louvain seed per
+input shared by Q*_in, both baselines' fits and the maximization of every
+output. On its 200-node input the eight former Louvain runs (a fit and a
+Q*_in per cell) found 7 or 8 communities with Q* from 0.1987 to 0.2062; the
+one new run finds 9 with Q* 0.2081, so every row changed. On the inputs of
+`SWEEP_GOLDEN` (96 nodes), `BENCH_GOLDEN` (128) and the `planted` preset
+(64), Louvain finds the same partition under the former and the new seeds,
+and those hashes kept their bytes.
+
 Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (scipy-openblas,
 DYNAMIC_ARCH, Haswell kernels) on Python 3.11 / x86-64. The eigensolver's
 last bits depend on the LAPACK build, so another BLAS may move the hashes
@@ -47,7 +57,7 @@ PRESET_BENCH_GOLDENS = {
         "c273708be3dda6cc56db3cd138b82557ab124254ebefbfd561b869e8cf27315e"),
     "lancichinetti": (["--nodes", "200", "--graphs", "1", "--runs", "2",
                        "--strategies", "dcsbm,trajanovski", "--seed", "4"],
-        "f774dd0a652e7c6f4469e8d05d5ff9aec51765e39323b8322b94d5b6eb5667e2"),
+        "080d6e5b2bcb93515c91d6106f8cf2912a1ae85f918a19635dcbd2d519d6c641"),
 }
 EVAL_GOLDEN = "c0c902ee7802dd3509dc8ddc17e763dcbbde1c2b98e16dce45007334c654bbd0"
 ATTACK_GOLDEN = "9175d935a3afe54a47b171ad8ce25f50643387b3d0aa557fc1b1c6c035d137c8"

@@ -12,13 +12,22 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from graphforge import evaluate
 from graphforge.cli import dispatch
-from graphforge.evaluate import Dataset, run_experiment, trajanovski_strategy
+from graphforge.community import louvain_maximize
+from graphforge.evaluate import (
+    Dataset,
+    dcsbm_strategy,
+    experiment_csv,
+    run_experiment,
+    sgf_strategy,
+    trajanovski_strategy,
+)
 from graphforge.forge import SpectralModel
 from graphforge.generators import PlantedPartitionConfig, planted_partition
 from graphforge.graph import dense_budget, write_edge_list
@@ -90,6 +99,40 @@ def test_bench_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_pat
         "bench", "--preset", "girvan", "--strategies", "sgf:0.9,dcsbm,trajanovski",
         "--graphs", "2", "--runs", "2", "--seed", "11"], "bench_girvan.csv")
     assert outputs[1] == outputs[2]
+
+
+def test_forked_cells_score_each_input_once_per_process(monkeypatch, pools, tmp_path):
+    # the input scores are computed in the cells, so the workers share them
+    # out and each process maximizes a given input at most once
+    large = tuple(planted_partition(PlantedPartitionConfig(
+        n=128, communities=4, p_in=0.3, p_out=0.03, seed=s))[0] for s in (1, 2))
+    small, _ = planted_partition(PlantedPartitionConfig(
+        n=40, communities=2, p_in=0.4, p_out=0.05, seed=3))
+    datasets = [Dataset("large", large), Dataset("small", (small,))]
+    inputs = large + (small,)
+    log = tmp_path / "maximized.log"
+
+    def spy(graph, rng_seed):
+        for index, input_graph in enumerate(inputs):
+            if graph is input_graph:
+                with log.open("a") as f:
+                    f.write(f"{os.getpid()} {index}\n")
+        return louvain_maximize(graph, rng_seed)
+
+    monkeypatch.setattr(evaluate, "louvain_maximize", spy)
+    csv = {}
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        csv[cores] = experiment_csv(run_experiment([sgf_strategy(0.9), dcsbm_strategy()],
+                                                   datasets, 2, rng_seed=6))
+        calls = Counter(tuple(line.split()) for line in log.read_text().splitlines())
+        log.unlink()
+        assert set(calls.values()) == {1}
+        per_input = Counter(index for _, index in calls)
+        assert sorted(per_input) == ["0", "1", "2"]
+        assert max(per_input.values()) <= cores
+    assert pools == ["fork"]
+    assert csv[1] == csv[2]
 
 
 _FORK_WITH_BLAS_THREADS = """
