@@ -3,7 +3,8 @@ normalization study, and the distance-vector de-anonymization attack.
 
 The harness and the sweep run their independent cells through
 `_map_cells`, on every free core that memory allows, with the same results
-as a plain loop.
+as a plain loop. Only the attack uses scipy (csgraph's breadth-first search
+and spatial's `cdist`), and imports it on first use.
 
 Ratios compare a generated graph against its input: 1 means the property is
 preserved. Undefined ratios (zero denominators, zero-variance correlations)
@@ -24,8 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
-from scipy.spatial.distance import cdist
 
 from . import baselines, forge as forge_mod
 from .community import Partition, louvain_maximize, modularity
@@ -353,7 +352,7 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
 
     graphs = [graph for dataset in datasets for graph in dataset.graphs]
     for graph in graphs:
-        average_clustering(graph)  # fills the CSR and clustering caches the cells read
+        average_clustering(graph)  # fills the clustering cache the cells read
     reports = iter(_map_cells(cell, len(cells),
                               forge_dense_bytes(max((g.n for g in graphs), default=0))))
 
@@ -462,6 +461,8 @@ def _seed_distances(graph: Graph, seed_nodes: Sequence[int]) -> np.ndarray:
 
     Unreachable pairs get the sentinel n, larger than any true distance.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     # the CSR holds both directions of every edge, so a directed search is exact
     dist = shortest_path(graph.csr, directed=True, unweighted=True, indices=seed_nodes)
     dist[np.isinf(dist)] = graph.n
@@ -536,6 +537,8 @@ def _pair_order(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     integers that hold them (a radix sort up to 16 bits) ties exactly where
     the float distances tie, and the stable order is the same.
     """
+    from scipy.spatial.distance import cdist
+
     squared = cdist(left, right, "sqeuclidean")
     key = squared.astype(np.min_scalar_type(int(squared.max())))
     del squared
@@ -626,6 +629,10 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
                 ratios.append(ratio)
             rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(rng_seed, ai, run, 2))))
         return SweepRow(cfg.alpha, entropy, tuple(ratios), tuple(rates))
+
+    # load what dv_attack reads, so that no forked worker imports it again
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.spatial.distance  # noqa: F401
 
     graph.csr  # noqa: B018 - fills the CSR cache the cells read
     n = graph.n

@@ -3,11 +3,15 @@
 Nodes are dense integers 0..n-1 so that every matrix in the pipeline stays
 index-aligned with the graph. A graph stores its edges as two sorted,
 deduplicated int64 arrays with rows < cols; those arrays are read-only, and
-everything derived from them (degrees, the sparse adjacency, the edge set,
+everything derived from them (degrees, the neighbour arrays, the edge set,
 the average clustering) is computed once on first use from those arrays
 alone. Graphs are therefore immutable after construction and safe to share
 between threads: a cache filled twice by racing threads holds the same value
 either way.
+
+This module needs numpy only. `Graph.csr`, the scipy view that the
+distance-vector attack's breadth-first search reads, imports scipy.sparse
+when it is first built, so a process that never attacks never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 # Category assigned to nodes missing from an attribute file.
 MISSING_VALUE = "__missing__"
+
+# candidate wedges checked at once by the clustering, so that its temporaries
+# stay near 25 MB however large the hubs are (tracemalloc peak of the whole
+# count 34 MiB at n = 3000 with 225 000 edges and 10.5 M candidates)
+_WEDGE_BLOCK = 1 << 19
 
 # bytes per n^2 at the peak of sample_dyads, not counting what the lookup
 # reads (tracemalloc peak 16.48-16.50 n^2 at n = 1000, 2000 and 3000, for the
@@ -148,21 +156,71 @@ class Graph:
         return degrees
 
     @cached_property
-    def csr(self) -> sparse.csr_array:
-        """Symmetric 0/1 adjacency as a float64 CSR array, sorted indices per row."""
+    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): node v's neighbours are indices[indptr[v]:indptr[v + 1]],
+        ascending. Read-only int64 arrays."""
         both_r = np.concatenate([self.rows, self.cols])
         both_c = np.concatenate([self.cols, self.rows])
-        data = np.ones(both_r.size)
-        return sparse.csr_array((data, (both_r, both_c)), shape=(self.n, self.n))
+        indices = both_c[np.argsort(both_r * self.n + both_c, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self._degrees, out=indptr[1:])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
+    def csr(self):
+        """Symmetric 0/1 adjacency as a float64 scipy CSR array over the
+        neighbour arrays; imports scipy.sparse on first use."""
+        from scipy import sparse
+
+        indptr, indices = self._neighbors
+        return sparse.csr_array((np.ones(indices.size), indices, indptr),
+                                shape=(self.n, self.n))
+
+    def _closed_wedges(self) -> np.ndarray:
+        """Per node, the ordered neighbour pairs that are adjacent: twice the
+        triangles through it, as exact integers.
+
+        The forward algorithm (Schank & Wagner 2005; Latapy 2008): each edge
+        points from the lower to the higher (degree, id) rank, so every
+        triangle appears exactly once as two out-neighbours of its lowest
+        node joined by an edge, and a node's out-degree is at most
+        sqrt(2 m). The candidate pairs go in blocks of at most _WEDGE_BLOCK.
+        """
+        n, m = self.n, self.num_edges
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(self._degrees, kind="stable")] = np.arange(n)
+        a, b = rank[self.rows], rank[self.cols]
+        # out-edges in rank space, sorted by (tail, head)
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        tail, head = np.divmod(keys, n)
+        # edge p pairs with the later out-edges of its tail: head[p] < head[q]
+        later = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
+        upto = np.cumsum(later)
+        triangles = np.zeros(n, dtype=np.int64)
+        start = 0
+        while start < m:
+            before = upto[start] - later[start]
+            stop = max(start + 1, int(np.searchsorted(upto, before + _WEDGE_BLOCK, "right")))
+            counts = later[start:stop]
+            first = np.arange(start, stop)
+            offsets = np.cumsum(counts) - counts
+            p = np.repeat(first, counts)
+            q = np.arange(p.size) + np.repeat(first + 1 - offsets, counts)
+            wanted = head[p] * n + head[q]
+            found = np.searchsorted(keys, wanted)
+            closed = keys[np.minimum(found, m - 1)] == wanted
+            for corner in (tail[p[closed]], head[p[closed]], head[q[closed]]):
+                triangles += np.bincount(corner, minlength=n)
+            start = stop
+        return 2 * triangles[rank]
 
     @cached_property
     def _average_clustering(self) -> float:
         if self.n == 0:
             return 0.0
-        a = self.csr
-        # row v of (A @ A) * A sums, over neighbours u, the common neighbours of
-        # v and u: twice the triangles through v, an exact integer
-        links = (a @ a).multiply(a).sum(axis=1).astype(np.int64).tolist()
+        links = self._closed_wedges().tolist()
         total = 0.0
         # sequential sum in node order, so the float result does not depend on
         # numpy's pairwise summation
@@ -179,8 +237,8 @@ class Graph:
         return a
 
     def neighbor_lists(self) -> list[list[int]]:
-        """Ascending neighbour ids of every node, read off the CSR."""
-        indptr, indices = self.csr.indptr.tolist(), self.csr.indices.tolist()
+        """Ascending neighbour ids of every node."""
+        indptr, indices = (arr.tolist() for arr in self._neighbors)
         return [indices[indptr[v]:indptr[v + 1]] for v in range(self.n)]
 
     def neighbor_sets(self) -> list[set[int]]:

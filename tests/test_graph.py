@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,31 @@ def test_average_clustering_matches_oracle_on_random_graphs():
         g = Graph.from_edges(n, edges)
         assert average_clustering(g) == pytest.approx(clustering_oracle(g.n, g.edges), abs=1e-12)
         assert 0.0 <= average_clustering(g) <= 1.0
+
+
+def _star(n: int, chords=()) -> Graph:
+    return Graph.from_edges(n, [(0, leaf) for leaf in range(1, n)] + list(chords))
+
+
+def test_clustering_of_a_large_star_stays_small():
+    # the hub has the highest rank, so no leaf pair is ever a candidate: the
+    # former (A @ A) * A held ~hub degree^2 entries, 4e10 here
+    star = _star(200_001)
+    tracemalloc.start()
+    try:
+        assert average_clustering(star) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_clustering_of_a_star_with_one_chord_is_exact():
+    n = 5_001
+    star = _star(n, chords=[(1, 2)])
+    # node order: the hub closes 1 of its C(n - 1, 2) pairs, leaves 1 and 2 close theirs
+    expected = (2 / ((n - 1) * (n - 2)) + 1.0 + 1.0) / n
+    assert average_clustering(star) == expected
 
 
 def test_adjacency_symmetric_zero_diagonal():

@@ -4,12 +4,15 @@ Random small edge lists come with shuffled orientation and repeated pairs;
 each array-based result is compared exactly with a loop over tuples.
 """
 
+import itertools
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphforge import graph as graph_mod
 from graphforge.evaluate import _seed_distances
 from graphforge.graph import (
     Graph,
@@ -84,6 +87,28 @@ def test_average_clustering_matches_triangle_count_exactly(case):
     n, pairs = case
     g = Graph.from_edges(n, pairs)
     assert average_clustering(g) == clustering_oracle(n, canonical(pairs))
+
+
+@st.composite
+def graphs_with_cliques(draw):
+    """Random edge lists, or a complete graph on a prefix of the nodes with
+    the rest isolated (the empty and the complete graph included)."""
+    if draw(st.booleans()):
+        return Graph.from_edges(*draw(edge_lists()))
+    n = draw(st.integers(0, 14))
+    k = draw(st.integers(0, n))
+    return Graph.from_edges(n, itertools.combinations(range(k), 2))
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_cliques(), st.sampled_from([1, 2, 5, graph_mod._WEDGE_BLOCK]))
+def test_links_and_neighbours_match_dense_oracle(g, block):
+    # any wedge block size, down to one candidate pair, gives the same links
+    a = g.adjacency()
+    with mock.patch.object(graph_mod, "_WEDGE_BLOCK", block):
+        links = g._closed_wedges()
+    assert links.tolist() == ((a @ a) * a).sum(axis=1).astype(np.int64).tolist()
+    assert g.neighbor_lists() == [np.flatnonzero(a[v]).tolist() for v in range(g.n)]
 
 
 def bfs_distances(nbrs: list[set[int]], source: int, n: int, sentinel: int) -> np.ndarray:
