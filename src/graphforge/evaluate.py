@@ -3,8 +3,9 @@ normalization study, and the distance-vector de-anonymization attack.
 
 The harness and the sweep run their independent cells through
 `_map_cells`, on every free core that memory allows, with the same results
-as a plain loop. Only the attack uses scipy (csgraph's breadth-first search
-and spatial's `cdist`), and imports it on first use.
+as a plain loop. The attack's seed distances come from one bit-parallel
+breadth-first search and its pair distances from one matrix product, both in
+numpy and both exact.
 
 Ratios compare a generated graph against its input: 1 means the property is
 preserved. Undefined ratios (zero denominators, zero-variance correlations)
@@ -37,6 +38,12 @@ Z_99 = 2.576
 
 CSV_NA = "NA"
 
+# neighbour entries, weighted by the bitset words, that the seed-distance
+# search handles at once, so that its temporaries beyond the per-node arrays
+# stay within tens of MB however large the hubs are (tracemalloc: 20-32 MB
+# over the tables on a 200 001-node star with 64 and 130 seeds)
+_BFS_BLOCK = 1 << 19
+
 EXPERIMENT_CSV_HEADER = "strategy,dataset,metric,mean,std,ci99,runs"
 STUDY_CSV_HEADER = "graph,family,alpha,rule,dist_spectral,dist_normed,entropy"
 
@@ -60,6 +67,14 @@ T = TypeVar("T")
 _worker_cell: Callable[[int], object] | None = None
 
 
+@functools.cache
+def _native_threads() -> int:
+    """Threads of this process that Python did not start, counted once, on
+    first use: before this module has made any pool, whose exiting handler
+    threads stay listed in /proc/self/task for a moment after it closes."""
+    return max(len(os.listdir("/proc/self/task")) - threading.active_count(), 0)
+
+
 def _free_cores() -> int:
     """Usable cores per thread a forked worker would run.
 
@@ -69,11 +84,9 @@ def _free_cores() -> int:
     Linux affinity call or /proc, the cells run in the loop.
     """
     try:
-        cores = len(os.sched_getaffinity(0))
-        pools = len(os.listdir("/proc/self/task")) - threading.active_count()
+        return len(os.sched_getaffinity(0)) // (1 + _native_threads())
     except (AttributeError, OSError):
         return 1
-    return cores // (1 + max(pools, 0))
 
 
 def _install_cell(cell: Callable[[int], object]) -> None:
@@ -456,17 +469,70 @@ class AttackConfig:
             raise ValueError(f"seed_fraction must lie in (0, 1], got {self.seed_fraction}")
 
 
+def _neighbour_blocks(indptr: np.ndarray, nodes: np.ndarray, words: int):
+    """(block, slots, heads) over consecutive blocks of `nodes`: `slots`
+    lists the positions in the neighbour array of each block node's
+    neighbours, node by node, and `heads` where each node's run starts.
+    A block holds one node at least, and otherwise nodes whose neighbours
+    and bitset words stay within _BFS_BLOCK words."""
+    counts = indptr[nodes + 1] - indptr[nodes]
+    upto = np.cumsum((counts + 64) * (words + 2))
+    lo = 0
+    while lo < nodes.size:
+        done = upto[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(upto, done + _BFS_BLOCK, "right")))
+        runs = counts[lo:hi]
+        heads = np.cumsum(runs) - runs
+        slots = np.arange(heads[-1] + runs[-1]) + np.repeat(indptr[nodes[lo:hi]] - heads, runs)
+        yield nodes[lo:hi], slots, heads
+        lo = hi
+
+
 def _seed_distances(graph: Graph, seed_nodes: Sequence[int]) -> np.ndarray:
     """Hop distances from each seed (rows) to every node (columns).
 
     Unreachable pairs get the sentinel n, larger than any true distance.
+    One bit-parallel breadth-first search serves every seed (Then et al.,
+    "The More the Merrier", VLDB 2014): a node holds one bit per seed in
+    ceil(k / 64) uint64 words. Each level visits only the neighbours of the
+    nodes the previous level reached, ORs the words of their neighbours, and
+    writes the level for every bit that is new. The seeds must be distinct.
     """
-    from scipy.sparse.csgraph import shortest_path
-
-    # the CSR holds both directions of every edge, so a directed search is exact
-    dist = shortest_path(graph.csr, directed=True, unweighted=True, indices=seed_nodes)
-    dist[np.isinf(dist)] = graph.n
-    return dist
+    n, k = graph.n, len(seed_nodes)
+    words = -(-k // 64)
+    seeds, bit = np.asarray(seed_nodes, dtype=np.int64), np.arange(k)
+    table = np.full((n, k), float(n))  # returned transposed, so a node's signature is a row
+    table[seeds, bit] = 0.0
+    seen = np.zeros((n, words), dtype=np.uint64)
+    seen[seeds, bit // 64] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    indptr, indices = graph._neighbors
+    active, level = seeds, 0
+    while active.size:
+        level += 1
+        touched = np.zeros(n, dtype=bool)
+        for _, slots, _ in _neighbour_blocks(indptr, active, words):
+            touched[indices[slots]] = True
+        reached_nodes, reached_words = [], []
+        # every touched node has a neighbour, so no reduceat run is empty
+        for block, slots, heads in _neighbour_blocks(indptr, np.flatnonzero(touched), words):
+            new = np.bitwise_or.reduceat(seen[indices[slots]], heads, axis=0)
+            new &= ~seen[block]
+            rows = np.flatnonzero(new.any(axis=1))
+            block, new = block[rows], new[rows]
+            # the set bits of the nonzero words; bit j of a word is bit j of
+            # its little-endian bytes on any host
+            slot = np.flatnonzero(new)
+            bits = np.unpackbits(new.ravel()[slot].astype("<u8").view(np.uint8).reshape(-1, 8),
+                                 axis=1, bitorder="little")
+            at, j = np.divmod(np.flatnonzero(bits), 64)
+            row, word = np.divmod(slot[at], words)
+            table[block[row], 64 * word + j] = level
+            reached_nodes.append(block)
+            reached_words.append(new)
+        # marked after the whole level, so that no block reads this level's bits
+        active = np.concatenate([seeds[:0], *reached_nodes])
+        seen[active] |= np.concatenate([seen[:0], *reached_words])
+    return table.T
 
 
 def random_guess_rate(n: int, seed_fraction: float) -> float:
@@ -476,16 +542,22 @@ def random_guess_rate(n: int, seed_fraction: float) -> float:
 
 
 def _attack_dense_bytes(n: int, seeds: int) -> int:
-    """Estimated peak bytes of dense arrays of `dv_attack` with `seeds` seeds.
+    """Estimated peak bytes of the arrays of `dv_attack` with `seeds` seeds.
 
-    Two seed-distance tables, then the squared pair distances and their
-    integer key (9 bytes a pair); in the walk, the argsort, the last block's
-    two index arrays and its mask (at most width^2 / 2 pairs, 17 bytes each)
-    peak higher (tracemalloc peak 0.96-1.00 of this estimate at n = 1000 and
-    2000, the same as with the float argsort).
+    Two seed-distance tables (the search's own blocks are a few MB). Then,
+    per pair of the width^2 non-seed pairs, 20 bytes at most: the squared
+    distances and their integer key of up to 8 bytes; or the key, the
+    stable argsort's 8-byte order and the sort's own buffer, outside
+    tracemalloc's view (8 bytes for a radix sort of keys up to 16 bits, 4
+    for the merge sort of wider keys); the walk holds the order and at most
+    10 bytes for each pair of its largest block, at most width^2 / 2 pairs.
+    Measured peaks over this estimate, with 3% and 10% seeds (30 to 400): by
+    tracemalloc 0.64-0.65 at n = 1000 and 2000 on planted and dense inputs;
+    by peak RSS over a warmed process, 0.83-0.98 on planted inputs at n =
+    1000, 2000 and 4000.
     """
     width = n - seeds
-    return 16 * seeds * n + 17 * width * width
+    return 16 * seeds * n + 20 * width * width
 
 
 def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
@@ -516,6 +588,9 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
         raise ValueError("the attack needs at least one seed node")
     # checked before the seed draw, whose own arrays are of size n
     require_dense_budget(n, _attack_dense_bytes(n, k), "the distance-vector attack")
+    if 2 * k * n * n >= 1 << 53:  # the bound of _pair_order's exact arithmetic
+        raise ValueError(f"the distance-vector attack at n = {n} with {k} seeds exceeds "
+                         "the exact integer range of float64 distances")
     if seeds is None:
         rng = np.random.default_rng(config.seed)
         seed_nodes = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
@@ -531,15 +606,22 @@ def _pair_order(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Flat pair indices (left * width + right) by ascending Euclidean
     signature distance, ties in index order.
 
-    Signatures hold integer hop counts, so the squared distances are exact
-    integers below 2^53; sqrt is correctly rounded and strictly increasing
-    on them, so sorting the squared distances as the narrowest unsigned
+    The squared distances come from the Gram identity |l|^2 + |r|^2 - 2 l.r,
+    one float64 matrix product finished in place. Signatures hold integer
+    hop counts of at most the sentinel n, so every product, every partial
+    sum of the product (in any summation order, fused or not) and every
+    intermediate of the identity is an integer of magnitude at most
+    2 k n^2 for k seeds, which `dv_attack` keeps below 2^53: each is exact,
+    and the result equals the direct sum of squared differences bit for
+    bit. sqrt is correctly rounded and strictly increasing on these
+    integers, so sorting the squared distances as the narrowest unsigned
     integers that hold them (a radix sort up to 16 bits) ties exactly where
     the float distances tie, and the stable order is the same.
     """
-    from scipy.spatial.distance import cdist
-
-    squared = cdist(left, right, "sqeuclidean")
+    squared = left @ right.T
+    squared *= -2.0
+    squared += np.square(left).sum(axis=1)[:, None]
+    squared += np.square(right).sum(axis=1)
     key = squared.astype(np.min_scalar_type(int(squared.max())))
     del squared
     return np.argsort(key.ravel(), kind="stable")
@@ -562,9 +644,11 @@ def _greedy_match_hits(order: np.ndarray, width: int) -> int:
     hits = matched = start = 0
     size = width
     while matched < width and start < order.size:
-        left, right = np.divmod(order[start:start + size], width)
-        free = ~(used_left[left] | used_right[right])
-        for i, j in zip(left[free].tolist(), right[free].tolist()):
+        pairs = order[start:start + size]
+        taken = used_left[pairs // width]
+        taken |= used_right[pairs % width]
+        left, right = np.divmod(pairs[~taken], width)
+        for i, j in zip(left.tolist(), right.tolist()):
             if used_left[i] or used_right[j]:
                 continue
             used_left[i] = used_right[j] = True
@@ -572,7 +656,7 @@ def _greedy_match_hits(order: np.ndarray, width: int) -> int:
             matched += 1
             if matched == width:
                 break
-        del left, right, free  # free this block before the next, twice as large
+        del taken, left, right  # free this block before the next, twice as large
         start += size
         size *= 2
     return hits
@@ -630,11 +714,7 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
             rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(rng_seed, ai, run, 2))))
         return SweepRow(cfg.alpha, entropy, tuple(ratios), tuple(rates))
 
-    # load what dv_attack reads, so that no forked worker imports it again
-    import scipy.sparse.csgraph  # noqa: F401
-    import scipy.spatial.distance  # noqa: F401
-
-    graph.csr  # noqa: B018 - fills the CSR cache the cells read
+    graph._neighbors  # noqa: B018 - fills the neighbour cache the cells' attacks read
     n = graph.n
     return _map_cells(cell, len(configs),
                       forge_dense_bytes(n) + _attack_dense_bytes(n, math.ceil(seed_fraction * n)))

@@ -9,9 +9,9 @@ alone. Graphs are therefore immutable after construction and safe to share
 between threads: a cache filled twice by racing threads holds the same value
 either way.
 
-This module needs numpy only. `Graph.csr`, the scipy view that the
-distance-vector attack's breadth-first search reads, imports scipy.sparse
-when it is first built, so a process that never attacks never loads scipy.
+This module needs numpy only, like the rest of the package. The neighbour
+arrays serve Louvain's lists, the clustering count and the distance-vector
+attack's breadth-first search.
 """
 
 from __future__ import annotations
@@ -167,16 +167,6 @@ class Graph:
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices
-
-    @cached_property
-    def csr(self):
-        """Symmetric 0/1 adjacency as a float64 scipy CSR array over the
-        neighbour arrays; imports scipy.sparse on first use."""
-        from scipy import sparse
-
-        indptr, indices = self._neighbors
-        return sparse.csr_array((np.ones(indices.size), indices, indptr),
-                                shape=(self.n, self.n))
 
     def _closed_wedges(self) -> np.ndarray:
         """Per node, the ordered neighbour pairs that are adjacent: twice the

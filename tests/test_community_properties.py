@@ -10,15 +10,15 @@ weights for every target. A crafted near tie checks the visit that must
 fall back to the sorted scan. The brute-force oracle scores array blocks of
 restricted-growth strings; it is compared exactly with the former
 one-partition-at-a-time enumeration. The attack orders pairs by an integer
-key; that order is compared exactly with the stable argsort of the float
-Euclidean distances it replaced.
+key over squared distances from a matrix product; that order is compared
+exactly with the stable argsort of scipy's float Euclidean distances.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -352,8 +352,9 @@ def test_brute_force_equals_former_enumeration(n, p, seed):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 30), st.integers(1, 6),
+@given(st.integers(1, 30), st.integers(1, 6) | st.just(64),
        st.sampled_from([3, 40, 300, 5000, 10**6]), st.integers(0, 2**32 - 1))
+@example(30, 64, 10**6, 0)  # squared distances up to 64e12, keys of 8 bytes
 def test_integer_key_order_equals_float_stable_argsort(width, seeds, n, seed):
     rng = np.random.default_rng(seed)
     # hop counts below a small diameter, so many distances tie, and the

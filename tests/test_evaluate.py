@@ -101,6 +101,15 @@ def test_dv_attack_deterministic(two_k4):
     assert dv_attack(two_k4, two_k4, cfg) == dv_attack(two_k4, two_k4, cfg)
 
 
+def test_dv_attack_refuses_distances_beyond_exact_float64(monkeypatch):
+    # only hosts with hundreds of GB admit such an attack; on others the
+    # memory guard refuses first
+    monkeypatch.setattr(evaluate, "require_dense_budget", lambda *args: None)
+    g = Graph(170000, [], [])
+    with pytest.raises(ValueError, match="exact integer range"):
+        dv_attack(g, g, AttackConfig(seed_fraction=0.99))
+
+
 def test_random_guess_rate():
     assert random_guess_rate(100, 0.05) == pytest.approx(1 / 95)
 

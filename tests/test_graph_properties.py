@@ -1,7 +1,10 @@
 """Property tests: the array-backed Graph against plain-Python references.
 
 Random small edge lists come with shuffled orientation and repeated pairs;
-each array-based result is compared exactly with a loop over tuples.
+each array-based result is compared exactly with a loop over tuples. The
+attack's bit-parallel seed distances are compared with a Python
+breadth-first search and with scipy's shortest paths, up to three bitset
+words per node.
 """
 
 import itertools
@@ -11,7 +14,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
 
+from graphforge import evaluate
 from graphforge import graph as graph_mod
 from graphforge.evaluate import _seed_distances
 from graphforge.graph import (
@@ -66,7 +72,6 @@ def test_from_edges_matches_set_of_tuples(case, rnd):
         nbrs[i].add(j)
         nbrs[j].add(i)
     assert g.neighbor_sets() == nbrs
-    assert np.array_equal(g.csr.toarray(), g.adjacency())
 
 
 @PROPERTY_SETTINGS
@@ -124,15 +129,48 @@ def bfs_distances(nbrs: list[set[int]], source: int, n: int, sentinel: int) -> n
     return dist
 
 
+def csgraph_distances(g: Graph, seeds: list[int]) -> np.ndarray:
+    """scipy's unweighted shortest paths from the seeds over the edge
+    arrays, with the sentinel n for unreachable pairs."""
+    a = sparse.coo_array((np.ones(g.num_edges), (g.rows, g.cols)), shape=(g.n, g.n))
+    dist = shortest_path(a.tocsr(), directed=False, unweighted=True, indices=seeds)
+    dist[np.isinf(dist)] = g.n
+    return dist
+
+
+@st.composite
+def seeded_graphs(draw):
+    """(graph, distinct seeds): a small random edge list with any seeds, or
+    a graph of 63 to 130 seeds plus up to 40 nodes (one to three bitset
+    words per node) whose edges stay inside 1 to 3 node ranges, from
+    edgeless to about 2 edges per node, so isolated seeds and separate
+    components are common."""
+    if draw(st.booleans()):
+        n, pairs = draw(edge_lists().filter(lambda case: case[0] > 0))
+        return Graph.from_edges(n, pairs), sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    k = draw(st.sampled_from([63, 64, 65, 130]))
+    n = k + draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.integers(0, n + 1, draw(st.integers(0, 2))))
+    block = np.searchsorted(cuts, np.arange(n), "right")
+    ends = rng.integers(0, n, (draw(st.integers(0, 2 * n)), 2))
+    ends = ends[(ends[:, 0] != ends[:, 1]) & (block[ends[:, 0]] == block[ends[:, 1]])]
+    seeds = sorted(rng.choice(n, k, replace=False).tolist())
+    return Graph.from_edges(n, ends.tolist()), seeds
+
+
 @PROPERTY_SETTINGS
-@given(edge_lists().filter(lambda case: case[0] > 0), st.data())
-def test_seed_distances_match_python_bfs(case, data):
-    n, pairs = case
-    g = Graph.from_edges(n, pairs)
-    seeds = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+@given(seeded_graphs(), st.sampled_from([1, 300, evaluate._BFS_BLOCK]))
+def test_seed_distances_match_python_bfs(case, block):
+    # any block size, down to one node per block, gives the same distances
+    g, seeds = case
     nbrs = g.neighbor_sets()
-    expected = np.stack([bfs_distances(nbrs, s, n, sentinel=n) for s in seeds])
-    assert np.array_equal(_seed_distances(g, seeds), expected)
+    expected = np.stack([bfs_distances(nbrs, s, g.n, sentinel=g.n) for s in seeds])
+    with mock.patch.object(evaluate, "_BFS_BLOCK", block):
+        dist = _seed_distances(g, seeds)
+    assert dist.shape == (len(seeds), g.n) and dist.dtype == np.float64
+    assert np.array_equal(dist, expected)
+    assert np.array_equal(dist, csgraph_distances(g, seeds))
 
 
 @PROPERTY_SETTINGS

@@ -285,3 +285,25 @@ def test_blas_pool_threads_take_cores_from_the_workers(blas_threads):
         assert free == cores
     else:
         assert free < cores
+
+
+_BACK_TO_BACK = """
+import os
+from graphforge import evaluate
+def cell(index):
+    return os.getpid()
+for _ in range(2):
+    print(any(pid != os.getpid() for pid in evaluate._map_cells(cell, 3, 1)))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_back_to_back_calls_both_fork():
+    # the first pool's exiting handler threads are still listed in
+    # /proc/self/task when the second call counts its free cores
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _BACK_TO_BACK], env=env, capture_output=True,
+                          text=True, timeout=60, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
