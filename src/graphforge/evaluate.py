@@ -120,8 +120,10 @@ def _map_cells(cell: Callable[[int], T], count: int, cell_bytes: int) -> list[T]
     without pickling, and each cell runs the serial code with the serial
     seeds, so the results are the loop's. The pool has no more workers than
     cells fit in memory at once, and is closed before this returns. Its
-    fixed cost (up to ~35 ms) outweighs the gain only on the smallest calls;
-    a cell's cost is not known before it runs. Warnings raised in the cells
+    fixed cost (9-12 ms to create, map and join in a warmed process with one
+    BLAS thread on 2 CPUs) outweighs the gain only on the smallest calls; a
+    cell's cost is not known before it runs. The pool hands out the cells
+    one at a time in index order. Warnings raised in the cells
     are re-emitted in cell order, and the first failing cell's exception is
     raised after the warnings of the cells before it, as the loop would.
     """
@@ -173,25 +175,34 @@ def score_input(graph: Graph, rng_seed: int) -> Score:
     return louvain_maximize(graph, seed_from(rng_seed, 0))
 
 
+def _score_output(output_graph: Graph, rng_seed: int) -> tuple[float, int]:
+    """(Q*, community count) of an output under the Louvain seed that
+    score_input(input, rng_seed) gives its input. An edgeless output scores
+    Q* = 0 with every node in its own community."""
+    if output_graph.num_edges == 0:
+        return 0.0, output_graph.n
+    part, q_out = louvain_maximize(output_graph, seed_from(rng_seed, 0))
+    return q_out, part.m
+
+
+def _ratio(q_out: float, q_in: float) -> float | None:
+    """Q*_out / Q*_in, or None when the input's Q* is 0 (below 1e-12)."""
+    return None if abs(q_in) < 1e-12 else q_out / q_in
+
+
 def _maximized(input_graph: Graph, output_graph: Graph, rng_seed: int,
                input_score: Score | None = None):
     """(modularity ratio, input community count, output community count).
 
     Both graphs are maximized with the same Louvain seed. `input_score`, when
     given, is score_input(input_graph, rng_seed) computed beforehand, and
-    the input is not maximized again. An edgeless output scores Q* = 0 with
-    every node in its own community; the ratio is None when the input's Q*
-    is 0.
+    the input is not maximized again.
     """
     if input_graph.n != output_graph.n:
         raise ValueError("input and output graphs must have the same node count")
     part_in, q_in = input_score or score_input(input_graph, rng_seed)
-    if output_graph.num_edges > 0:
-        part_out, q_out = louvain_maximize(output_graph, seed_from(rng_seed, 0))
-        m_out = part_out.m
-    else:
-        q_out, m_out = 0.0, output_graph.n
-    return (None if abs(q_in) < 1e-12 else q_out / q_in), part_in.m, m_out
+    q_out, m_out = _score_output(output_graph, rng_seed)
+    return _ratio(q_out, q_in), part_in.m, m_out
 
 
 def modularity_ratio(input_graph: Graph, output_graph: Graph, rng_seed: int,
@@ -681,12 +692,17 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
 
     The decomposition depends on the input only and P on the input and
     alpha, so one fit serves the grid, and one distribution per alpha gives
-    the entropy and every run's sample. The input is maximized once per
-    process, with score_input(graph, seed_from(rng_seed, 0, 0, 3)); every
-    run's ratio reads that score and maximizes its output under the same
-    Louvain seed. Run `run` of alpha index `ai` samples with
-    seed_from(rng_seed, ai, run, 0) and attacks with seed_from(rng_seed, ai,
-    run, 2). Every knob is checked before the fit.
+    the entropy and every run's sample. Run `run` of alpha index `ai`
+    samples with seed_from(rng_seed, ai, run, 0), attacks with
+    seed_from(rng_seed, ai, run, 2), and maximizes its output with the
+    Louvain seed of score_input(graph, seed_from(rng_seed, 0, 0, 3)).
+
+    `_map_cells` gets one task per alpha, which returns the entropy and each
+    run's output Q* and attack rate, and then one task that maximizes the
+    input with that score; the calling process divides each output's Q* by
+    the input's. So the input is maximized once per call, by the first
+    worker that is free after every alpha has started. Every knob is
+    checked before the fit.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -696,25 +712,26 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
     model = fit(graph, transformation)
     score_seed = seed_from(rng_seed, 0, 0, 3)
 
-    @functools.cache  # one per process: a forked worker fills its own copy
-    def scored() -> Score:
-        return score_input(graph, score_seed)
-
-    def cell(ai: int) -> SweepRow:
+    def cell(ai: int):
+        if ai == len(configs):
+            return score_input(graph, score_seed)[1]
         cfg = configs[ai]
         dist = model.at(cfg.alpha, cfg.rule, cfg.logistic_k)
         entropy = dist.entropy().normalized
-        ratios: list[float] = []
+        q_outs: list[float] = []
         rates: list[float] = []
         for run in range(runs):
             out = dist.sample(seed_from(rng_seed, ai, run, 0))
-            ratio = modularity_ratio(graph, out, score_seed, scored())
-            if ratio is not None:
-                ratios.append(ratio)
+            q_outs.append(_score_output(out, score_seed)[0])
             rates.append(dv_attack(graph, out, replace(attack, seed=seed_from(rng_seed, ai, run, 2))))
-        return SweepRow(cfg.alpha, entropy, tuple(ratios), tuple(rates))
+        return entropy, q_outs, tuple(rates)
 
     graph._neighbors  # noqa: B018 - fills the neighbour cache the cells' attacks read
     n = graph.n
-    return _map_cells(cell, len(configs),
-                      forge_dense_bytes(n) + _attack_dense_bytes(n, math.ceil(seed_fraction * n)))
+    *cells, q_in = _map_cells(cell, len(configs) + 1,
+                              forge_dense_bytes(n) + _attack_dense_bytes(n, math.ceil(seed_fraction * n)))
+    rows = []
+    for cfg, (entropy, q_outs, rates) in zip(configs, cells):
+        ratios = (_ratio(q_out, q_in) for q_out in q_outs)
+        rows.append(SweepRow(cfg.alpha, entropy, tuple(r for r in ratios if r is not None), rates))
+    return rows

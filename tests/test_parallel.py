@@ -22,6 +22,8 @@ from graphforge.cli import dispatch
 from graphforge.community import louvain_maximize
 from graphforge.evaluate import (
     Dataset,
+    SweepRow,
+    alpha_sweep,
     dcsbm_strategy,
     experiment_csv,
     run_experiment,
@@ -32,7 +34,7 @@ from graphforge.forge import SpectralModel
 from graphforge.generators import PlantedPartitionConfig, planted_partition
 from graphforge.graph import dense_budget, write_edge_list
 
-from conftest import disjoint_cliques
+from conftest import complete_graph, disjoint_cliques
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,14 +86,46 @@ def small_input(tmp_path):
     return path
 
 
-# the 40-node input's cells run Louvain's chain refinement
-@pytest.mark.parametrize("graph_input", ["planted_500", "small_input"])
+# the 40-node input's cells run Louvain's chain refinement; a single alpha
+# forks too, its one cell beside the input's score
+@pytest.mark.parametrize("graph_input, grid", [
+    pytest.param("planted_500", ["--alphas", "0.1:0.9:0.4", "--runs", "2"], id="planted_500"),
+    pytest.param("small_input", ["--alphas", "0.1:0.9:0.4", "--runs", "2"], id="small_input"),
+    pytest.param("small_input", ["--alphas", "0.5", "--runs", "3"], id="small_input-one_alpha"),
+])
 def test_sweep_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path, request,
-                                                     graph_input):
+                                                     graph_input, grid):
     outputs = _run_both_paths(monkeypatch, pools, tmp_path, [
-        "sweep", "--input", str(request.getfixturevalue(graph_input)), "--alphas",
-        "0.1:0.9:0.4", "--runs", "2", "--seed", "7"], "sweep.csv")
+        "sweep", "--input", str(request.getfixturevalue(graph_input)), *grid,
+        "--seed", "7"], "sweep.csv")
     assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_sweep_ratio_branches_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path,
+                                                              cores):
+    # a complete graph's Q* is 0, so no run has a ratio and the CSV reads NA;
+    # under the adjacency transform alpha 0 keeps no term and samples an
+    # edgeless output, whose Q* is 0
+    _cores(monkeypatch, cores)
+    complete = complete_graph(8)
+    assert alpha_sweep(complete, [0.1, 0.9], runs=1, rng_seed=3) == [
+        SweepRow(0.1, 0.15042217472167926, (), (0.14285714285714285,)),
+        SweepRow(0.9, 0.0, (), (1.0,)),
+    ]
+    small, _ = planted_partition(PlantedPartitionConfig(
+        n=40, communities=2, p_in=0.4, p_out=0.05, seed=3))
+    assert alpha_sweep(small, [0.0, 0.5], runs=1, rng_seed=3, transformation="adjacency") == [
+        SweepRow(0.0, 0.0, (0.0,), (0.0,)),
+        SweepRow(0.5, 0.11267555369445029, (0.8173558838650068,), (0.3157894736842105,)),
+    ]
+    path = tmp_path / "complete.el"
+    path.write_text(write_edge_list(complete))
+    assert dispatch(["sweep", "--input", str(path), "--alphas", "0.1", "--runs", "1",
+                     "--seed", "3", "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == (
+        "0.1,NA,0.15042217472167926,0.14285714285714285")
+    assert pools == ([] if cores == 1 else ["fork"] * 3)
 
 
 def test_bench_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path):
@@ -133,6 +167,26 @@ def test_forked_cells_score_each_input_once_per_process(monkeypatch, pools, tmp_
         assert max(per_input.values()) <= cores
     assert pools == ["fork"]
     assert csv[1] == csv[2]
+
+
+def test_forked_sweep_maximizes_its_input_once(monkeypatch, pools, tmp_path):
+    # the input's score is a task of its own, so one process in all runs it
+    graph, _ = planted_partition(PlantedPartitionConfig(
+        n=96, communities=3, p_in=0.3, p_out=0.03, seed=5))
+    log = tmp_path / "maximized.log"
+
+    def spy(maximized, rng_seed):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()} {'input' if maximized is graph else 'output'}\n")
+        return louvain_maximize(maximized, rng_seed)
+
+    monkeypatch.setattr(evaluate, "louvain_maximize", spy)
+    _cores(monkeypatch, 2)
+    alpha_sweep(graph, [0.1, 0.5, 0.9], runs=2, rng_seed=9)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert Counter(kind for _, kind in calls) == {"input": 1, "output": 3 * 2}
+    assert str(os.getpid()) not in {pid for pid, _ in calls}
+    assert pools == ["fork"]
 
 
 _FORK_WITH_BLAS_THREADS = """
