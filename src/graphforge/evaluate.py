@@ -2,10 +2,10 @@
 normalization study, and the distance-vector de-anonymization attack.
 
 The harness and the sweep run their independent cells through
-`_map_cells`, on every free core that memory allows, with the same results
-as a plain loop. The attack's seed distances come from one bit-parallel
-breadth-first search and its pair distances from one matrix product, both in
-numpy and both exact.
+`cells._map_cells`, on every free core that memory allows, with the same
+results as a plain loop. The attack's seed distances come from one
+bit-parallel breadth-first search and its pair distances from one matrix
+product, both in numpy and both exact.
 
 Ratios compare a generated graph against its input: 1 means the property is
 preserved. Undefined ratios (zero denominators, zero-variance correlations)
@@ -17,20 +17,16 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
-import os
-import pickle
-import threading
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import baselines, forge as forge_mod
+from .cells import _map_cells
 from .community import Partition, louvain_maximize, modularity
 from .forge import ForgeConfig, fit, forge_dense_bytes
-from .graph import Graph, average_clustering, degree_vector, dense_budget, require_dense_budget
+from .graph import Graph, average_clustering, degree_vector, require_dense_budget
 from .spectral import low_rank_approx, spectral_norm
 
 # z-score for two-sided 99% confidence under the normal approximation
@@ -59,89 +55,6 @@ def seed_from(*parts: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=list(parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-T = TypeVar("T")
-
-# the cell function of a forked worker, set by its initializer
-_worker_cell: Callable[[int], object] | None = None
-
-
-@functools.cache
-def _native_threads() -> int:
-    """Threads of this process that Python did not start, counted once, on
-    first use: before this module has made any pool, whose exiting handler
-    threads stay listed in /proc/self/task for a moment after it closes."""
-    return max(len(os.listdir("/proc/self/task")) - threading.active_count(), 0)
-
-
-def _free_cores() -> int:
-    """Usable cores per thread a forked worker would run.
-
-    Native threads that Python did not start belong to a BLAS or OpenMP
-    pool; every worker starts that pool again, and its idle threads spin,
-    so each worker counts as that many threads plus its own. Without the
-    Linux affinity call or /proc, the cells run in the loop.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) // (1 + _native_threads())
-    except (AttributeError, OSError):
-        return 1
-
-
-def _install_cell(cell: Callable[[int], object]) -> None:
-    global _worker_cell
-    _worker_cell = cell
-
-
-def _run_cell(index: int):
-    """One cell in a worker: (result, exception or None, its warnings)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # the parent's filters judge the re-emitted copies
-        try:
-            result, error = _worker_cell(index), None
-        except Exception as exc:  # noqa: BLE001 - re-raised by the parent in cell order
-            result, error = None, exc
-    if error is not None:
-        try:
-            pickle.loads(pickle.dumps(error))
-        except Exception:  # noqa: BLE001 - an exception the pool could not carry back
-            error = RuntimeError(f"{type(error).__name__}: {error}")
-    return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _map_cells(cell: Callable[[int], T], count: int, cell_bytes: int) -> list[T]:
-    """[cell(i) for i in range(count)], on every free core memory allows.
-
-    `cell_bytes` is the dense-array peak of one cell. With two free cores
-    (see `_free_cores`), two cells and room in physical memory for two cells
-    at once, the cells run in a "fork" pool made for this call; otherwise
-    they run in a loop. The workers inherit `cell` and all it reaches
-    without pickling, and each cell runs the serial code with the serial
-    seeds, so the results are the loop's. The pool has no more workers than
-    cells fit in memory at once, and is closed before this returns. Its
-    fixed cost (9-12 ms to create, map and join in a warmed process with one
-    BLAS thread on 2 CPUs) outweighs the gain only on the smallest calls; a
-    cell's cost is not known before it runs. The pool hands out the cells
-    one at a time in index order. Warnings raised in the cells
-    are re-emitted in cell order, and the first failing cell's exception is
-    raised after the warnings of the cells before it, as the loop would.
-    """
-    workers = min(_free_cores(), count, dense_budget() // max(cell_bytes, 1))
-    if workers < 2:
-        return [cell(i) for i in range(count)]
-    with multiprocessing.get_context("fork").Pool(workers, _install_cell, (cell,)) as pool:
-        outcomes = pool.map(_run_cell, range(count), chunksize=1)
-        pool.close()
-        pool.join()
-    results = []
-    for result, error, caught in outcomes:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
 
 
 @dataclass(frozen=True)

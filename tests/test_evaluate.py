@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphforge import evaluate
+from graphforge import cells, evaluate
 from graphforge.community import louvain_maximize
 from graphforge.evaluate import (
     AttackConfig,
@@ -176,7 +176,7 @@ def _girvan_graphs(count, seed):
 
 @pytest.fixture
 def serial(monkeypatch):
-    monkeypatch.setattr(evaluate, "_free_cores", lambda: 1)
+    monkeypatch.setattr(cells, "_free_cores", lambda: 1)
 
 
 @pytest.fixture

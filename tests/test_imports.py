@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.modules["scipy"] = None  # importing scipy or any submodule now raises ImportError
 
-from graphforge import evaluate
+from graphforge import cells, evaluate
 from graphforge.cli import dispatch
 from graphforge.generators import PlantedPartitionConfig, planted_partition
 from graphforge.graph import write_edge_list
@@ -28,7 +28,7 @@ graph, _ = planted_partition(PlantedPartitionConfig(
     n=60, communities=3, p_in=0.4, p_out=0.05, seed=4))
 source = work / "input.el"
 source.write_text(write_edge_list(graph))
-evaluate._free_cores = lambda: 1
+cells._free_cores = lambda: 1
 for argv in (["generate", "--input", str(source), "--alpha", "0.5", "--seed", "1"],
              ["eval", "--input", str(source), "--generated", str(source), "--seed", "1"],
              ["attack", "--input", str(source), "--generated", str(source), "--seed", "1"],
@@ -48,7 +48,7 @@ def spy(*args, **kwargs):
 
 
 evaluate.dv_attack = spy
-evaluate._free_cores = lambda: 2
+cells._free_cores = lambda: 2
 assert dispatch(["sweep", "--input", str(source), "--alphas", "0.1:0.9:0.4", "--runs", "1",
                  "--seed", "1", "--output-dir", str(work)]) == 0
 print(os.getpid())

@@ -6,18 +6,20 @@ Each path is forced by setting the free core count `_map_cells` observes; the
 memory cap is left as shipped unless a test says otherwise.
 """
 
-import multiprocessing
+import gc
 import os
+import signal
 import subprocess
 import sys
 import time
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from graphforge import evaluate
+from graphforge import cells, evaluate
 from graphforge.cli import dispatch
 from graphforge.community import louvain_maximize
 from graphforge.evaluate import (
@@ -34,27 +36,35 @@ from graphforge.forge import SpectralModel
 from graphforge.generators import PlantedPartitionConfig, planted_partition
 from graphforge.graph import dense_budget, write_edge_list
 
-from conftest import complete_graph, disjoint_cliques
+from conftest import _time_limit, complete_graph, disjoint_cliques
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Count the fork pools `_map_cells` starts."""
-    started = []
-    get_context = multiprocessing.get_context
+def forks(monkeypatch):
+    """The pids of the workers `_map_cells` forks, as the caller sees them."""
+    forked = []
+    fork = os.fork
 
-    def spy(method=None):
-        started.append(method)
-        return get_context(method)
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(evaluate.multiprocessing, "get_context", spy)
-    return started
+    monkeypatch.setattr(cells.os, "fork", spy)
+    return forked
 
 
 def _cores(monkeypatch, count):
-    monkeypatch.setattr(evaluate, "_free_cores", lambda: count)
+    monkeypatch.setattr(cells, "_free_cores", lambda: count)
+
+
+def _assert_no_child():
+    # raises only when this process has no child, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -66,14 +76,15 @@ def planted_500(tmp_path_factory):
     return path
 
 
-def _run_both_paths(monkeypatch, pools, tmp_path, argv, name):
+def _run_both_paths(monkeypatch, forks, tmp_path, argv, name):
     outputs = {}
     for cores in (1, 2):
         _cores(monkeypatch, cores)
         out_dir = tmp_path / f"cores{cores}"
         assert dispatch(argv + ["--output-dir", str(out_dir)]) == 0
         outputs[cores] = (out_dir / name).read_bytes()
-        assert pools == ([] if cores == 1 else ["fork"])
+        assert len(forks) == (0 if cores == 1 else 2)
+        _assert_no_child()
     return outputs
 
 
@@ -93,16 +104,16 @@ def small_input(tmp_path):
     pytest.param("small_input", ["--alphas", "0.1:0.9:0.4", "--runs", "2"], id="small_input"),
     pytest.param("small_input", ["--alphas", "0.5", "--runs", "3"], id="small_input-one_alpha"),
 ])
-def test_sweep_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path, request,
+def test_sweep_bytes_do_not_depend_on_the_core_count(monkeypatch, forks, tmp_path, request,
                                                      graph_input, grid):
-    outputs = _run_both_paths(monkeypatch, pools, tmp_path, [
+    outputs = _run_both_paths(monkeypatch, forks, tmp_path, [
         "sweep", "--input", str(request.getfixturevalue(graph_input)), *grid,
         "--seed", "7"], "sweep.csv")
     assert outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_sweep_ratio_branches_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path,
+def test_sweep_ratio_branches_do_not_depend_on_the_core_count(monkeypatch, forks, tmp_path,
                                                               cores):
     # a complete graph's Q* is 0, so no run has a ratio and the CSV reads NA;
     # under the adjacency transform alpha 0 keeps no term and samples an
@@ -125,17 +136,17 @@ def test_sweep_ratio_branches_do_not_depend_on_the_core_count(monkeypatch, pools
                      "--seed", "3", "--output-dir", str(tmp_path)]) == 0
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == (
         "0.1,NA,0.15042217472167926,0.14285714285714285")
-    assert pools == ([] if cores == 1 else ["fork"] * 3)
+    assert len(forks) == (0 if cores == 1 else 2 * 3)
 
 
-def test_bench_bytes_do_not_depend_on_the_core_count(monkeypatch, pools, tmp_path):
-    outputs = _run_both_paths(monkeypatch, pools, tmp_path, [
+def test_bench_bytes_do_not_depend_on_the_core_count(monkeypatch, forks, tmp_path):
+    outputs = _run_both_paths(monkeypatch, forks, tmp_path, [
         "bench", "--preset", "girvan", "--strategies", "sgf:0.9,dcsbm,trajanovski",
         "--graphs", "2", "--runs", "2", "--seed", "11"], "bench_girvan.csv")
     assert outputs[1] == outputs[2]
 
 
-def test_forked_cells_score_each_input_once_per_process(monkeypatch, pools, tmp_path):
+def test_forked_cells_score_each_input_once_per_process(monkeypatch, forks, tmp_path):
     # the input scores are computed in the cells, so the workers share them
     # out and each process maximizes a given input at most once
     large = tuple(planted_partition(PlantedPartitionConfig(
@@ -165,11 +176,11 @@ def test_forked_cells_score_each_input_once_per_process(monkeypatch, pools, tmp_
         per_input = Counter(index for _, index in calls)
         assert sorted(per_input) == ["0", "1", "2"]
         assert max(per_input.values()) <= cores
-    assert pools == ["fork"]
+    assert len(forks) == 2
     assert csv[1] == csv[2]
 
 
-def test_forked_sweep_maximizes_its_input_once(monkeypatch, pools, tmp_path):
+def test_forked_sweep_maximizes_its_input_once(monkeypatch, forks, tmp_path):
     # the input's score is a task of its own, so one process in all runs it
     graph, _ = planted_partition(PlantedPartitionConfig(
         n=96, communities=3, p_in=0.3, p_out=0.03, seed=5))
@@ -186,17 +197,17 @@ def test_forked_sweep_maximizes_its_input_once(monkeypatch, pools, tmp_path):
     calls = [line.split() for line in log.read_text().splitlines()]
     assert Counter(kind for _, kind in calls) == {"input": 1, "output": 3 * 2}
     assert str(os.getpid()) not in {pid for pid, _ in calls}
-    assert pools == ["fork"]
+    assert len(forks) == 2
 
 
 _FORK_WITH_BLAS_THREADS = """
 import hashlib, sys
 from pathlib import Path
-from graphforge import evaluate
+from graphforge import cells
 from graphforge.cli import dispatch
 digests = []
 for cores in (1, 2):
-    evaluate._free_cores = lambda: cores
+    cells._free_cores = lambda: cores
     out = Path(sys.argv[2]) / f"cores{cores}"
     argv = ["sweep", "--input", sys.argv[1], "--alphas", "0.1:0.9:0.4", "--runs", "1",
             "--seed", "5", "--output-dir", str(out)]
@@ -220,20 +231,34 @@ def test_sweep_forks_safely_while_blas_threads_run(tmp_path, planted_500):
     assert serial == parallel
 
 
-def test_no_worker_outlives_a_call(monkeypatch, pools, tmp_path, small_input, capsys):
+def _sleeping(index):
+    time.sleep(60)
+    return index
+
+
+def test_no_worker_outlives_a_call(monkeypatch, forks, tmp_path, small_input, capsys):
     _cores(monkeypatch, 2)
     argv = ["sweep", "--input", str(small_input), "--alphas", "0.1:0.9:0.4", "--runs", "1"]
     assert dispatch(argv + ["--output-dir", str(tmp_path / "ok")]) == 0
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
     def failing_at(self, alpha, rule="truncate", logistic_k=6.0):
         raise ValueError(f"no distribution at alpha {alpha}")
 
     monkeypatch.setattr(SpectralModel, "at", failing_at)
     assert dispatch(argv + ["--output-dir", str(tmp_path / "failed")]) == 2
-    assert multiprocessing.active_children() == []
-    assert pools == ["fork", "fork"]
+    _assert_no_child()
+    assert len(forks) == 2 * 2
     assert "no distribution at alpha 0.1" in capsys.readouterr().err
+    # an exception raised in the caller while the workers run, here by a
+    # time limit, ends them too
+    start = time.monotonic()
+    with pytest.raises(pytest.fail.Exception, match="0.5 s time limit"):
+        with _time_limit(0.5):
+            cells._map_cells(_sleeping, 3, 0)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2 * 3
+    _assert_no_child()
 
 
 def test_sweep_reports_the_lowest_failing_cell(monkeypatch, tmp_path, small_input, capsys):
@@ -258,13 +283,13 @@ def test_sweep_reports_the_lowest_failing_cell(monkeypatch, tmp_path, small_inpu
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_warnings_of_parallel_cells_reach_the_caller(monkeypatch, pools):
+def test_warnings_of_parallel_cells_reach_the_caller(monkeypatch, forks):
     # disjoint cliques beat any connected skeleton, so the rewirer warns
     _cores(monkeypatch, 2)
     dataset = Dataset("cliques", (disjoint_cliques(4, 4), disjoint_cliques(5, 5)))
     with pytest.warns(UserWarning, match="exceeds skeleton") as caught:
         run_experiment([trajanovski_strategy()], [dataset], 2, rng_seed=3)
-    assert pools == ["fork"]
+    assert len(forks) == 2
     assert {Path(w.filename).name for w in caught} == {"baselines.py"}
     assert len([w for w in caught if "exceeds skeleton" in str(w.message)]) == 4
 
@@ -273,14 +298,14 @@ def _cell_pid(index):
     return os.getpid()
 
 
-def test_tight_memory_runs_in_process(monkeypatch, pools):
+def test_tight_memory_runs_in_process(monkeypatch, forks):
     _cores(monkeypatch, 2)
     here = os.getpid()
     # one cell's dense arrays take all of memory: cells run one at a time
-    assert evaluate._map_cells(_cell_pid, 3, dense_budget()) == [here] * 3
-    assert pools == []
-    pids = evaluate._map_cells(_cell_pid, 3, dense_budget() // 2)
-    assert here not in pids and pools == ["fork"]
+    assert cells._map_cells(_cell_pid, 3, dense_budget()) == [here] * 3
+    assert forks == []
+    pids = cells._map_cells(_cell_pid, 3, dense_budget() // 2)
+    assert here not in pids and len(forks) == 2
 
 
 def _warn_or_fail(index):
@@ -304,22 +329,22 @@ def _unpicklable_failure(index):
 def test_cell_errors_and_warnings_come_back_in_cell_order(monkeypatch):
     _cores(monkeypatch, 2)
     with pytest.warns(UserWarning) as caught, pytest.raises(ValueError, match="cell 1 fails"):
-        evaluate._map_cells(_warn_or_fail, 3, 0)
+        cells._map_cells(_warn_or_fail, 3, 0)
     # the loop would have warned in cells 0 and 1 and stopped at cell 1
     assert [str(w.message) for w in caught] == ["cell 0 warns", "cell 1 warns"]
     assert all(Path(w.filename).name == "test_parallel.py" for w in caught)
     with pytest.raises(RuntimeError, match="_LocalError: 0: no single-argument constructor"):
-        evaluate._map_cells(_unpicklable_failure, 2, 0)
-    assert multiprocessing.active_children() == []
+        cells._map_cells(_unpicklable_failure, 2, 0)
+    _assert_no_child()
 
 
 _FREE_CORES = """
 import os, threading
-from graphforge import evaluate
+from graphforge import cells
 idle = threading.Event()
 thread = threading.Thread(target=idle.wait)
 thread.start()
-print(evaluate._free_cores(), len(os.sched_getaffinity(0)))
+print(cells._free_cores(), len(os.sched_getaffinity(0)))
 idle.set()
 thread.join()
 """
@@ -343,21 +368,123 @@ def test_blas_pool_threads_take_cores_from_the_workers(blas_threads):
 
 _BACK_TO_BACK = """
 import os
-from graphforge import evaluate
+from graphforge import cells
 def cell(index):
     return os.getpid()
 for _ in range(2):
-    print(any(pid != os.getpid() for pid in evaluate._map_cells(cell, 3, 1)))
+    print(any(pid != os.getpid() for pid in cells._map_cells(cell, 3, 1)))
 """
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
 def test_back_to_back_calls_both_fork():
-    # the first pool's exiting handler threads are still listed in
-    # /proc/self/task when the second call counts its free cores
+    # the first call leaves no thread or process behind, and the native
+    # threads are counted once per process, so the second call finds the
+    # same free cores
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _BACK_TO_BACK], env=env, capture_output=True,
                           text=True, timeout=60, stdin=subprocess.DEVNULL)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True"]
+
+
+_KILLED_WORKER = """
+import os, signal, sys, time
+from pathlib import Path
+from graphforge import cells
+from graphforge.cli import dispatch
+from graphforge.forge import SpectralModel
+cells._free_cores = lambda: 2
+
+
+def cell(index):
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if index >= 2:
+        time.sleep(60)  # the other worker is still busy when the call fails
+    return index
+
+
+start = time.monotonic()
+try:
+    cells._map_cells(cell, 4, 1)
+except ChildProcessError as exc:
+    print(exc)
+print(time.monotonic() - start)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+
+
+def killed_at(self, alpha, rule="truncate", logistic_k=6.0):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+SpectralModel.at = killed_at
+print(dispatch(["sweep", "--input", sys.argv[1], "--alphas", "0.1:0.9:0.4", "--runs", "1",
+                "--output-dir", sys.argv[2]]))
+"""
+
+
+def test_a_killed_worker_fails_the_call(tmp_path, small_input):
+    # the timeout turns a call that waits for the lost cell into a failure
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WORKER, str(small_input),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=60, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    message, seconds, no_child, code = proc.stdout.splitlines()
+    assert message == (f"a cell worker was killed by signal {int(signal.SIGKILL)} "
+                       "before it sent its cells back")
+    assert float(seconds) < 30 and no_child == "no child"
+    # ChildProcessError is an OSError, so the CLI reports it and exits 2
+    assert code == "2"
+    assert proc.stderr.startswith("error: a cell worker was killed by signal")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def _square(index):
+    return index * index
+
+
+def test_more_cells_than_one_pipe_buffer_holds(monkeypatch, forks):
+    # 20 000 four-byte tokens overfill a 64 KiB pipe, so the caller writes
+    # while the workers read
+    _cores(monkeypatch, 2)
+    assert cells._map_cells(_square, 20000, 0) == [_square(i) for i in range(20000)]
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+class _Held:
+    pass
+
+
+def test_no_reference_to_a_cell_outlives_the_call(monkeypatch, forks):
+    _cores(monkeypatch, 2)
+    held = _Held()
+    alive = weakref.ref(held)
+
+    def cell(index):
+        return index if held else None
+
+    assert cells._map_cells(cell, 3, 0) == [0, 1, 2]
+    del cell, held
+    gc.collect()
+    assert alive() is None
+
+    held = _Held()
+    alive = weakref.ref(held)
+
+    def failing(index):
+        raise ValueError(f"cell {index} fails with {held}")
+
+    with pytest.raises(ValueError, match="cell 0 fails"):
+        cells._map_cells(failing, 3, 0)
+    del failing, held
+    gc.collect()
+    assert alive() is None
+    assert len(forks) == 2 * 2
