@@ -40,4 +40,4 @@ for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
 print()
 print("alpha = 1.0 with the truncate rule reproduces the input exactly:")
 clone = model.at(1.0, rule="truncate").sample(seed=5)
-print(f"  identical edge sets: {clone.edges == graph.edges}")
+print(f"  identical edge sets: {clone == graph}")

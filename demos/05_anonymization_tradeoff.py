@@ -13,9 +13,9 @@ import numpy as np
 from graphforge import (
     AttackConfig,
     PlantedPartitionConfig,
+    compare,
     dv_attack,
     fit,
-    modularity_ratio,
     planted_partition,
 )
 from graphforge.evaluate import random_guess_rate
@@ -36,5 +36,5 @@ for alpha in (1.0, 0.9, 0.5, 0.25, 0.1):
     for trial in range(3):
         out = forged.sample(seed=1000 * trial + 7)
         rates.append(dv_attack(graph, out, AttackConfig(seed_fraction=0.05, seed=trial)))
-        ratios.append(modularity_ratio(graph, out, rng_seed=trial))
+        ratios.append(compare(graph, out, rng_seed=trial).modularity_ratio)
     print(f"{alpha:5.2f}   {np.mean(rates):14.3f}   {np.mean(ratios):16.3f}")

@@ -26,7 +26,6 @@ from .evaluate import (
     compare,
     dcsbm_strategy,
     dv_attack,
-    modularity_ratio,
     normalization_study,
     run_experiment,
     score_input,

@@ -103,27 +103,6 @@ def _ratio(q_out: float, q_in: float) -> float | None:
     return None if abs(q_in) < 1e-12 else q_out / q_in
 
 
-def _maximized(input_graph: Graph, output_graph: Graph, rng_seed: int,
-               input_score: Score | None = None):
-    """(modularity ratio, input community count, output community count).
-
-    Both graphs are maximized with the same Louvain seed. `input_score`, when
-    given, is score_input(input_graph, rng_seed) computed beforehand, and
-    the input is not maximized again.
-    """
-    if input_graph.n != output_graph.n:
-        raise ValueError("input and output graphs must have the same node count")
-    part_in, q_in = input_score or score_input(input_graph, rng_seed)
-    q_out, m_out = _score_output(output_graph, rng_seed)
-    return _ratio(q_out, q_in), part_in.m, m_out
-
-
-def modularity_ratio(input_graph: Graph, output_graph: Graph, rng_seed: int,
-                     input_score: Score | None = None) -> float | None:
-    """Q*_out / Q*_in, the modularity_ratio field of compare with the same arguments."""
-    return _maximized(input_graph, output_graph, rng_seed, input_score)[0]
-
-
 def compare(input_graph: Graph, output_graph: Graph, rng_seed: int,
             input_score: Score | None = None) -> MetricsReport:
     """All paired metrics for one (input, output) pair.
@@ -134,8 +113,10 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int,
     without maximizing the input again. The output inherits the input's
     attributes by index for the attribute rows.
     """
-    mod_ratio, m_in, m_out = _maximized(input_graph, output_graph, rng_seed, input_score)
-    part_ratio = m_out / m_in
+    if input_graph.n != output_graph.n:
+        raise ValueError("input and output graphs must have the same node count")
+    part_in, q_in = input_score or score_input(input_graph, rng_seed)
+    q_out, m_out = _score_output(output_graph, rng_seed)
 
     clust_in = average_clustering(input_graph)
     clust_out = average_clustering(output_graph)
@@ -160,8 +141,8 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int,
             attr_ratios[name] = modularity(output_graph, part) / q_attr_in
 
     return MetricsReport(
-        modularity_ratio=mod_ratio,
-        partition_number_ratio=part_ratio,
+        modularity_ratio=_ratio(q_out, q_in),
+        partition_number_ratio=m_out / part_in.m,
         clustering_ratio=clust_ratio,
         degree_correlation=deg_corr,
         attribute_modularity_ratios=attr_ratios,
@@ -484,12 +465,11 @@ def _attack_dense_bytes(n: int, seeds: int) -> int:
     return 16 * seeds * n + 20 * width * width
 
 
-def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
-              seeds: Sequence[int] | None = None) -> float:
+def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig) -> float:
     """Distance-vector re-identification rate between two aligned graphs.
 
-    A seed set of ceil(seed_fraction * n) nodes is assumed correctly mapped
-    (sampled uniformly unless given). Every other node gets a signature of
+    A seed set of ceil(seed_fraction * n) nodes, sampled uniformly, is
+    assumed correctly mapped. Every other node gets a signature of
     shortest-path distances to the seeds in its own graph (unreachable pairs
     get sentinel n, larger than any true distance); pairs are then matched
     greedily by ascending Euclidean signature distance, each node used once.
@@ -498,26 +478,17 @@ def dv_attack(original: Graph, anonymized: Graph, config: AttackConfig,
     if original.n != anonymized.n:
         raise ValueError("graphs must have the same node count")
     n = original.n
-    if seeds is None:
-        k = math.ceil(config.seed_fraction * n)
-    else:
-        seed_nodes = sorted(set(int(s) for s in seeds))
-        if any(s < 0 or s >= n for s in seed_nodes):
-            raise ValueError("seed node out of range")
-        k = len(seed_nodes)
+    k = math.ceil(config.seed_fraction * n)
     width = n - k
     if width == 0:
         return 1.0
-    if k == 0:
-        raise ValueError("the attack needs at least one seed node")
     # checked before the seed draw, whose own arrays are of size n
     require_dense_budget(n, _attack_dense_bytes(n, k), "the distance-vector attack")
     if 2 * k * n * n >= 1 << 53:  # the bound of _pair_order's exact arithmetic
         raise ValueError(f"the distance-vector attack at n = {n} with {k} seeds exceeds "
                          "the exact integer range of float64 distances")
-    if seeds is None:
-        rng = np.random.default_rng(config.seed)
-        seed_nodes = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
+    rng = np.random.default_rng(config.seed)
+    seed_nodes = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
     seed_set = set(seed_nodes)
     non_seeds = [v for v in range(n) if v not in seed_set]
 

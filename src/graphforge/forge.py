@@ -134,17 +134,13 @@ class EntropyReport:
 
     raw_bits sums the dyadic entropies; density is the expected edge density;
     normalizer is -(n(n-1)/2) * (log2(density) + log2(1-density)) and
-    normalized = raw_bits / normalizer. The density-weighted variant divides
-    instead by n(n-1)/2 times the binary entropy of the density, which is the
-    true per-dyad maximum at that density; both are reported.
+    normalized = raw_bits / normalizer.
     """
 
     raw_bits: float
     density: float
     normalizer: float
     normalized: float
-    weighted_normalizer: float
-    weighted_normalized: float
 
 
 def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -168,28 +164,20 @@ class ForgedDistribution:
         return sample_dyads(p.shape[0], seed, lambda rows, cols: p[rows, cols])
 
     def entropy(self) -> EntropyReport:
-        """Entropy of the distribution and its two normalizations."""
+        """Entropy of the distribution, raw and normalized."""
         p = self.probabilities
         n = p.shape[0]
         dyads = n * (n - 1) // 2
         if dyads == 0:
-            return EntropyReport(0.0, 0.0, math.nan, 0.0, math.nan, 0.0)
+            return EntropyReport(0.0, 0.0, math.nan, 0.0)
         upper = p[np.triu_indices(n, k=1)]
         raw_bits = float(np.sum(_binary_entropy_bits(upper)))
         density = float(np.sum(upper) / dyads)
         if density <= 0.0 or density >= 1.0:
-            # degenerate distribution: the normalizers are undefined
-            return EntropyReport(raw_bits, density, math.nan, 0.0, math.nan, 0.0)
+            # degenerate distribution: the normalizer is undefined
+            return EntropyReport(raw_bits, density, math.nan, 0.0)
         normalizer = -dyads * (math.log2(density) + math.log2(1.0 - density))
-        weighted = dyads * (-density * math.log2(density) - (1.0 - density) * math.log2(1.0 - density))
-        return EntropyReport(
-            raw_bits=raw_bits,
-            density=density,
-            normalizer=normalizer,
-            normalized=raw_bits / normalizer,
-            weighted_normalizer=weighted,
-            weighted_normalized=raw_bits / weighted,
-        )
+        return EntropyReport(raw_bits, density, normalizer, raw_bits / normalizer)
 
 
 def sample_bernoulli(prob_matrix: np.ndarray, seed: int) -> Graph:

@@ -75,8 +75,9 @@ def barabasi_albert(n: int, mean_attach: float, seed: int = 0) -> Graph:
     current degree. Fractional means let the realized mean degree match a
     target that integer attachment cannot.
     """
-    if mean_attach < 1:
-        raise ValueError("mean_attach must be >= 1")
+    # NaN fails every comparison, so it is refused with infinity here
+    if not 1 <= mean_attach < math.inf:
+        raise ValueError(f"mean_attach must be finite and >= 1, got {mean_attach}")
     rng = np.random.default_rng(seed)
     lo = int(np.floor(mean_attach))
     frac = mean_attach - lo

@@ -3,11 +3,11 @@
 Nodes are dense integers 0..n-1 so that every matrix in the pipeline stays
 index-aligned with the graph. A graph stores its edges as two sorted,
 deduplicated int64 arrays with rows < cols; those arrays are read-only, and
-everything derived from them (degrees, the neighbour arrays, the edge set,
-the average clustering) is computed once on first use from those arrays
-alone. Graphs are therefore immutable after construction and safe to share
-between threads: a cache filled twice by racing threads holds the same value
-either way.
+everything derived from them (degrees, the neighbour arrays, the average
+clustering) is computed once on first use from those arrays alone. Graphs
+are therefore immutable after construction and safe to share between
+threads: a cache filled twice by racing threads holds the same value either
+way.
 
 This module needs numpy only, like the rest of the package. The neighbour
 arrays serve Louvain's lists, the clustering count and the distance-vector
@@ -72,11 +72,10 @@ def _edge_array(values) -> np.ndarray:
 class Graph:
     """Simple undirected graph with optional categorical node attributes.
 
-    Edge k joins rows[k] < cols[k]; the pairs are sorted and unique. `edges`
-    is the same set as a frozenset of (i, j) tuples. Attribute vectors, when
-    present, have length exactly `n`; values are opaque categories compared
-    only by equality. Two graphs are equal when n, the edges and the
-    attributes are.
+    Edge k joins rows[k] < cols[k]; the pairs are sorted and unique.
+    Attribute vectors, when present, have length exactly `n`; values are
+    opaque categories compared only by equality. Two graphs are equal when
+    n, the edges and the attributes are.
     """
 
     n: int
@@ -136,10 +135,6 @@ class Graph:
         return (self.n == other.n and np.array_equal(self.rows, other.rows)
                 and np.array_equal(self.cols, other.cols)
                 and self.attributes == other.attributes)
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges())
 
     @property
     def num_edges(self) -> int:

@@ -38,7 +38,7 @@ def test_trajanovski_immediate_target_returns_skeleton():
     # asking exactly for the skeleton's own value stops before any rewiring
     reachable = TrajanovskiConfig(q_target=q_init, communities=2, n=12, num_edges=14, seed=1)
     out = trajanovski_generate(reachable)
-    assert out.edges == skeleton.edges
+    assert out == skeleton
 
 
 def test_trajanovski_skeleton_is_maximum_over_random_same_shape_graphs():
@@ -143,7 +143,7 @@ def test_dcsbm_zero_off_diagonal_blocks():
     cfg = DcsbmConfig(degrees=degrees, partition=part, block_edges=block, seed=7)
     g = dcsbm_generate(cfg)
     labels = part.assignment
-    assert all(labels[i] == labels[j] for i, j in g.edges)
+    assert all(labels[i] == labels[j] for i, j in g.sorted_edges())
     assert g.num_edges == 10
 
 

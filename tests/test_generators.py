@@ -56,8 +56,8 @@ def test_planted_edge_frequencies():
         cfg = PlantedPartitionConfig(n=128, communities=2, p_in=p_in, p_out=p_out, seed=s)
         g, part = planted_partition(cfg)
         labels = part.assignment
-        intra_edges += sum(1 for i, j in g.edges if labels[i] == labels[j])
-        inter_edges += sum(1 for i, j in g.edges if labels[i] != labels[j])
+        intra_edges += sum(1 for i, j in g.sorted_edges() if labels[i] == labels[j])
+        inter_edges += sum(1 for i, j in g.sorted_edges() if labels[i] != labels[j])
         intra_dyads += 2 * (64 * 63 // 2)
         inter_dyads += 64 * 64
     assert abs(intra_edges / intra_dyads - p_in) < 0.02
@@ -68,7 +68,7 @@ def test_planted_p_out_zero_components_refine_communities():
     cfg = PlantedPartitionConfig(n=30, communities=3, p_in=0.4, p_out=0.0, seed=9)
     g, part = planted_partition(cfg)
     labels = part.assignment
-    assert all(labels[i] == labels[j] for i, j in g.edges)
+    assert all(labels[i] == labels[j] for i, j in g.sorted_edges())
 
 
 def test_planted_determinism_and_validation():
@@ -93,6 +93,12 @@ def test_barabasi_albert_edge_count_and_simplicity():
     assert max(degree_vector(g)) > 6  # hubs emerge under preferential attachment
 
 
+@pytest.mark.parametrize("mean_attach", [math.inf, math.nan])
+def test_barabasi_albert_rejects_non_finite_mean(mean_attach):
+    with pytest.raises(ValueError, match="mean_attach must be finite and >= 1"):
+        barabasi_albert(50, mean_attach)
+
+
 def test_barabasi_albert_fractional_attachment():
     got = []
     for s in range(5):
@@ -107,7 +113,7 @@ def test_lancichinetti_mixing_zero_all_intra():
     g, part = lancichinetti(cfg)
     labels = part.assignment
     assert g.num_edges > 0
-    assert all(labels[i] == labels[j] for i, j in g.edges)
+    assert all(labels[i] == labels[j] for i, j in g.sorted_edges())
     # with no inter edges: Q = 1 - sum over communities of (degree share)^2
     k = degree_vector(g).astype(float)
     total = k.sum()

@@ -1,4 +1,4 @@
-"""No subcommand loads scipy.
+"""The package's imports: its exported names, and no subcommand loads scipy.
 
 A fresh interpreter in which every scipy import fails runs `generate`,
 `eval`, `attack` and `bench` in process, then a `sweep` whose cells, and so
@@ -8,7 +8,10 @@ their attacks, run in forked workers.
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import graphforge
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -67,3 +70,26 @@ def test_no_subcommand_loads_scipy(tmp_path):
     # three alphas, one run each, all attacked to the end in forked workers
     assert len(attackers) == 3
     assert parent not in attackers
+
+
+# a name leaves or joins the public surface only by an edit of this list
+EXPORTED = [
+    "AttackConfig", "Dataset", "DcsbmConfig", "EigenDecomposition", "EntropyReport",
+    "ExperimentRow", "ForgeConfig", "ForgedDistribution", "Graph", "LancichinettiConfig",
+    "MetricsReport", "Partition", "PlantedPartitionConfig", "SpectralModel", "Strategy",
+    "SweepRow", "TrajanovskiConfig", "alpha_sweep", "approx_error_bound",
+    "average_clustering", "back_transform", "barabasi_albert",
+    "brute_force_max_modularity", "compare", "dcsbm_config_from", "dcsbm_generate",
+    "dcsbm_strategy", "degree_vector", "dv_attack", "edge_probabilities", "eigendecompose",
+    "erdos_renyi", "fit", "forge", "lancichinetti", "load_attributes", "load_edge_list",
+    "louvain_maximize", "low_rank_approx", "modularity", "modularity_matrix",
+    "normalization_study", "normalize", "normalized_entropy", "planted_partition",
+    "run_experiment", "sample_bernoulli", "score_input", "sgf_strategy", "spectral_norm",
+    "trajanovski_generate", "trajanovski_strategy", "write_edge_list",
+]
+
+
+def test_exported_names_are_pinned():
+    public = sorted(name for name, value in vars(graphforge).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == EXPORTED

@@ -5,8 +5,9 @@ attack's greedy matching.
 `edge_probabilities` and with the public `normalize` (which symmetrizes its
 input's image) and checked to be a valid probability matrix; alpha = 1 with
 the truncate rule reproduces random inputs; the blocked greedy matcher is
-compared exactly with the one-pair-at-a-time walk it replaced.
-`modularity_ratio`, which `sweep` writes, equals the field `compare` reports.
+compared exactly with the one-pair-at-a-time walk it replaced. The ratio
+`alpha_sweep` forms, the output's Q* over the Q* of `score_input`, equals the
+field `compare` reports.
 """
 
 import numpy as np
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 from graphforge.evaluate import (
     AttackConfig,
     _greedy_match_hits,
+    _ratio,
+    _score_output,
     compare,
     dv_attack,
-    modularity_ratio,
+    score_input,
 )
 from graphforge.forge import (
     DEFAULT_LOGISTIC_K,
@@ -144,7 +147,7 @@ def graph_pairs(draw):
 @example((Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [])), 1)
 def test_modularity_ratio_is_compares_field(pair, seed):
     g, out = pair
-    ratio = modularity_ratio(g, out, seed)
+    ratio = _ratio(_score_output(out, seed)[0], score_input(g, seed)[1])
     assert ratio == compare(g, out, seed).modularity_ratio
     if g.num_edges == 1:
         assert ratio is None
