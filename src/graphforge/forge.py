@@ -19,7 +19,9 @@ from .spectral import (
     SYMMETRY_ATOL,
     EigenDecomposition,
     _eigendecompose,
+    _in_place_eigensolver,
     _require_symmetric,
+    _shift_by_null_model,
     low_rank_approx,
     modularity_matrix,
 )
@@ -29,10 +31,18 @@ TRANSFORMATIONS = ("modularity", "adjacency")
 
 DEFAULT_LOGISTIC_K = 6.0
 
-# n x n float64 arrays alive at once at the peak of fit plus probabilities
-# (tracemalloc peak 5.0-5.13 at n = 1000 and 2000 for every rule; the scale
-# rule's boolean off-diagonal mask is the 0.13)
-_FORGE_DENSE_ARRAYS = 5
+# n x n float64 arrays at the peak of fit plus one `at` and its sample: M
+# and dsyevd's 2n^2 workspace, or at alpha = 1 the eigenvectors, their scaled
+# copy and the product. Peak RSS of `forge` in fresh processes grew by 36.4
+# and 110.2 MB at n = 1000 and 2000 (alpha 1, every rule), 3.08 n^2 between
+# them plus ~12 MB of BLAS buffers, and 3.11-3.26 n^2 at n = 1000-2000 once
+# BLAS had run. With np.linalg.eigh, which holds the input, its own copy,
+# the workspace and the output at once, the count is 5 (RSS 5.07-5.2 n^2).
+_FORGE_DENSE_ARRAYS = 3.5
+_FORGE_DENSE_ARRAYS_EIGH = 5
+
+# dyads whose entropy is computed at once, so that its temporaries stay near 3 MB
+_ENTROPY_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,17 @@ def back_transform(m_tilde: np.ndarray, degrees: np.ndarray, transformation: str
     """
     if transformation not in TRANSFORMATIONS:
         raise ValueError(f"unknown transformation {transformation!r}")
-    m = np.asarray(m_tilde, dtype=float)
+    m = np.array(m_tilde, dtype=float)
     k = np.asarray(degrees, dtype=float)
     if m.shape[0] != k.shape[0]:
         raise ValueError(
             f"matrix order {m.shape[0]} does not match degree vector length {k.shape[0]}"
         )
-    if transformation == "adjacency":
-        return m.copy()
-    total = k.sum()
-    if total == 0:
-        raise ValueError("degree sum is zero: modularity back-transform undefined")
-    return m + np.outer(k, k) / total
+    if transformation == "modularity":
+        if k.sum() == 0:
+            raise ValueError("degree sum is zero: modularity back-transform undefined")
+        _shift_by_null_model(m, k, np.add)
+    return m
 
 
 def normalize(a_tilde: np.ndarray, rule: str = "truncate", logistic_k: float = DEFAULT_LOGISTIC_K) -> np.ndarray:
@@ -92,33 +101,42 @@ def normalize(a_tilde: np.ndarray, rule: str = "truncate", logistic_k: float = D
     off-diagonal entries are all equal). The diagonal is structurally zero:
     dyads never include self-pairs.
     """
-    out = _normalize(_require_symmetric(a_tilde, "normalize input"), rule, logistic_k)
+    out = _normalize(_require_symmetric(a_tilde, "normalize input").copy(), rule, logistic_k)
     return (out + out.T) / 2.0
 
 
 def _normalize(m: np.ndarray, rule: str, logistic_k: float) -> np.ndarray:
-    """normalize for a float matrix the caller built exactly symmetric; every
-    rule maps entries one by one, so the result is exactly symmetric too."""
+    """normalize in place, for a float matrix the caller owns and built
+    exactly symmetric; every rule maps entries one by one, so the result is
+    exactly symmetric too."""
     n = m.shape[0]
     if rule == "truncate":
-        out = np.clip(m, 0.0, 1.0)
+        np.clip(m, 0.0, 1.0, out=m)
     elif rule == "logistic":
         if not 2.0 <= logistic_k <= 10.0:
             raise ValueError(f"logistic k must lie in [2, 10], got {logistic_k}")
-        out = 1.0 / (1.0 + np.exp((0.5 - m) * logistic_k))
+        # 1 / (1 + exp((0.5 - m) * k)), one operation at a time
+        np.subtract(0.5, m, out=m)
+        np.multiply(m, logistic_k, out=m)
+        np.exp(m, out=m)
+        np.add(1.0, m, out=m)
+        np.divide(1.0, m, out=m)
     elif rule == "scale":
         if n < 2:
             raise ValueError("scale rule needs at least one off-diagonal entry")
-        off = ~np.eye(n, dtype=bool)
-        lo, hi = m[off].min(), m[off].max()
+        # the diagonal is zeroed below, so it may hold an off-diagonal value
+        # while the off-diagonal range is taken over the whole matrix
+        np.fill_diagonal(m, m[0, 1])
+        lo, hi = m.min(), m.max()
         if hi == lo:
             raise ValueError("scale rule degenerate: off-diagonal max equals min")
-        out = (m - lo) / (hi - lo)
-        out = np.clip(out, 0.0, 1.0)  # diagonal may fall outside the off-diag range
+        np.subtract(m, lo, out=m)
+        np.divide(m, hi - lo, out=m)
+        np.clip(m, 0.0, 1.0, out=m)
     else:
         raise ValueError(f"unknown normalization rule {rule!r}")
-    np.fill_diagonal(out, 0.0)
-    return out
+    np.fill_diagonal(m, 0.0)
+    return m
 
 
 def _check_probability_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -170,9 +188,19 @@ class ForgedDistribution:
         dyads = n * (n - 1) // 2
         if dyads == 0:
             return EntropyReport(0.0, 0.0, math.nan, 0.0)
-        upper = p[np.triu_indices(n, k=1)]
-        raw_bits = float(np.sum(_binary_entropy_bits(upper)))
+        # the dyads j > i in row-major order, summed whole so that numpy's
+        # pairwise sum sees the same vector however it was filled; the
+        # vector then holds each dyad's entropy, computed a chunk at a time
+        upper = np.empty(dyads)
+        start = 0
+        for i in range(n - 1):
+            upper[start:start + n - 1 - i] = p[i, i + 1:]
+            start += n - 1 - i
         density = float(np.sum(upper) / dyads)
+        for start in range(0, dyads, _ENTROPY_CHUNK):
+            chunk = upper[start:start + _ENTROPY_CHUNK]
+            chunk[:] = _binary_entropy_bits(chunk)
+        raw_bits = float(np.sum(upper))
         if density <= 0.0 or density >= 1.0:
             # degenerate distribution: the normalizer is undefined
             return EntropyReport(raw_bits, density, math.nan, 0.0)
@@ -192,7 +220,8 @@ def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
 
 def forge_dense_bytes(n: int) -> int:
     """Estimated peak bytes of dense arrays of `fit` plus one `at` at n nodes."""
-    return 8 * n * n * _FORGE_DENSE_ARRAYS
+    arrays = _FORGE_DENSE_ARRAYS if _in_place_eigensolver() else _FORGE_DENSE_ARRAYS_EIGH
+    return math.ceil(8 * n * n * arrays)
 
 
 @dataclass(frozen=True)
@@ -208,16 +237,17 @@ class SpectralModel:
            logistic_k: float = DEFAULT_LOGISTIC_K) -> ForgedDistribution:
         """Keep the ceil(alpha * n) leading eigenterms, transform back and
         normalize; the probabilities equal `edge_probabilities`."""
-        m_tilde = low_rank_approx(self.eig, alpha)
-        a_tilde = back_transform(m_tilde, self.degrees, self.transformation)
-        return ForgedDistribution(_normalize(a_tilde, rule, logistic_k))
+        m = low_rank_approx(self.eig, alpha)
+        if self.transformation == "modularity":
+            _shift_by_null_model(m, self.degrees.astype(float), np.add)
+        return ForgedDistribution(_normalize(m, rule, logistic_k))
 
 
 def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
     """Transform the graph and decompose the result once.
 
-    M is symmetric by construction, so its symmetry is not checked; M itself
-    is released once its eigenpairs are taken.
+    M is symmetric by construction, so its symmetry is not checked; the
+    eigensolve overwrites M, which is released once its eigenpairs are taken.
     """
     if transformation not in TRANSFORMATIONS:
         raise ValueError(f"unknown transformation {transformation!r}")
@@ -226,7 +256,8 @@ def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
         m = modularity_matrix(graph)  # raises on edgeless input
     else:
         m = graph.adjacency()
-    return SpectralModel(degree_vector(graph), _eigendecompose(m), transformation)
+    # M is exactly symmetric, so its C buffer is also its Fortran layout
+    return SpectralModel(degree_vector(graph), _eigendecompose(m.T), transformation)
 
 
 def edge_probabilities(graph: Graph, config: ForgeConfig) -> np.ndarray:

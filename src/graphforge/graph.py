@@ -33,11 +33,17 @@ MISSING_VALUE = "__missing__"
 # count 34 MiB at n = 3000 with 225 000 edges and 10.5 M candidates)
 _WEDGE_BLOCK = 1 << 19
 
-# bytes per n^2 at the peak of sample_dyads, not counting what the lookup
-# reads (tracemalloc peak 16.48-16.50 n^2 at n = 1000, 2000 and 3000, for the
-# planted and the forged lookup alike: two int64 index arrays, the float64
-# probabilities and draws, and the boolean hits, each over n(n-1)/2 dyads)
-_DYAD_BYTES_PER_N2 = 16.5
+# sample_dyads draws the dyads in row panels of about _DYAD_PANEL dyads, whose
+# index arrays, draws, hits and lookup temporaries take about 3 MB; what grows
+# with n is the sampled edges, _BYTES_PER_SAMPLED_EDGE each at the peak (the
+# panels' hits, their concatenation, and Graph's checked copy). Peak RSS
+# grew by 3.6 MB at n = 1000 and 4.6 MB at n = 2000 on planted inputs of
+# density 0.016 (fresh processes), 3.6 and 1.2 bytes per n^2, and by 70.2
+# bytes per edge for a complete output. The upfront estimate is that of such
+# sparse outputs; a denser output is refused once its edges outgrow memory.
+_DYAD_PANEL = 1 << 16
+_DYAD_BYTES_PER_N2 = 4
+_BYTES_PER_SAMPLED_EDGE = 71
 
 
 def dense_budget() -> int:
@@ -243,13 +249,31 @@ def sample_dyads(n: int, seed: int, probability) -> Graph:
     `seed`; the dyad is an edge where its draw is below
     `probability(rows, cols)`, evaluated on the dyads' index arrays.
     """
-    require_dense_budget(n, math.ceil(_DYAD_BYTES_PER_N2 * n * n), "sampling every dyad")
-    rows, cols = np.triu_indices(n, k=1)
-    # the lookup's temporaries are freed before the draws are allocated
-    p = probability(rows, cols)
-    hit = np.random.default_rng(seed).random(rows.shape[0]) < p
-    # triu_indices runs row-major over j > i, already the graph's edge order
-    return Graph(n, rows[hit], cols[hit])
+    what = "sampling every dyad"
+    require_dense_budget(n, math.ceil(_DYAD_BYTES_PER_N2 * n * n), what)
+    rng = np.random.default_rng(seed)
+    # row i holds the n - 1 - i dyads (i, i + 1) ... (i, n - 1); a panel is a
+    # run of whole rows holding about _DYAD_PANEL dyads, or one longer row.
+    # PCG64 spends one word on each double, so the panels' draws, taken in
+    # order, are the one-shot draw of every dyad
+    lengths = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(lengths)
+    hit_rows, hit_cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    first = done = kept = 0
+    while first < n - 1:
+        last = max(first + 1, int(np.searchsorted(ends, done + _DYAD_PANEL, side="right")))
+        panel = lengths[first:last]
+        rows = np.repeat(np.arange(first, last), panel)
+        # column = position in the panel + (row + 1 - the row's first position)
+        shift = np.arange(first + 1, last + 1) - (np.cumsum(panel) - panel)
+        cols = np.arange(rows.shape[0]) + np.repeat(shift, panel)
+        hit = rng.random(rows.shape[0]) < probability(rows, cols)
+        hit_rows.append(rows[hit])
+        hit_cols.append(cols[hit])
+        kept += hit_rows[-1].shape[0]
+        require_dense_budget(n, _BYTES_PER_SAMPLED_EDGE * kept, what)
+        first, done = last, int(ends[last - 1])
+    return Graph(n, np.concatenate(hit_rows), np.concatenate(hit_cols))
 
 
 def degree_vector(graph: Graph) -> np.ndarray:

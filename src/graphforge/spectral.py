@@ -4,10 +4,17 @@ modularity-matrix transformation.
 The low-rank filter keeps the ceil(alpha * n) largest-modulus eigenterms of a
 symmetric matrix; the spectral norm of what it drops is exactly the modulus of
 the first omitted eigenvalue, which gives a tunable error bound.
+
+The decomposition calls LAPACK's dsyevd, the routine `np.linalg.eigh` calls,
+directly on the matrix it is handed, so the pipeline's dense peak is the
+matrix plus dsyevd's 2n^2 workspace instead of numpy's four arrays. Where
+numpy's linalg module does not export that routine, `np.linalg.eigh` is used
+instead; both give the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +23,10 @@ import numpy as np
 from .graph import Graph, degree_vector
 
 SYMMETRY_ATOL = 1e-9
+
+# entries of an n x n array handled per block by the row-block and tile loops
+# below, so that their temporaries stay near 2 MB
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -63,26 +74,97 @@ def modularity_matrix(graph: Graph) -> np.ndarray:
     total = int(degrees.sum())
     if total == 0:
         raise ValueError("graph has no edges: modularity matrix is undefined (|K| = 0)")
-    k = degrees.astype(float)
-    return graph.adjacency() - np.outer(k, k) / total
+    m = graph.adjacency()
+    _shift_by_null_model(m, degrees.astype(float), np.subtract)
+    return m
+
+
+def _shift_by_null_model(m: np.ndarray, k: np.ndarray, op) -> None:
+    """m <- op(m, k k^T / sum(k)) in place, one block of rows at a time.
+
+    Each entry is op(m_ij, k_i k_j / sum(k)), as with a full outer product.
+    """
+    total = k.sum()
+    step = max(1, _BLOCK_ENTRIES // max(1, k.shape[0]))
+    for start in range(0, k.shape[0], step):
+        rows = m[start:start + step]
+        op(rows, np.outer(k[start:start + step], k) / total, out=rows)
+
+
+@functools.cache
+def _in_place_eigensolver():
+    """numpy's own LAPACK dsyevd, wrapped to overwrite a Fortran-ordered
+    symmetric matrix with its eigenvectors and return its ascending
+    eigenvalues; None when numpy's linalg module does not export it.
+
+    The call mirrors `np.linalg.eigh`'s: jobz V, uplo L, a workspace query
+    first, and LinAlgError when LAPACK reports a failure. Resolved on first
+    use, so importing the package loads nothing.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+    try:
+        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (OSError, AttributeError):
+        return None
+    integer, real = ctypes.c_int64, ctypes.c_double
+    int_p, real_p = ctypes.POINTER(integer), ctypes.POINTER(real)
+    dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, real_p, int_p, real_p,
+                       real_p, int_p, int_p, int_p, int_p]
+    dsyevd.restype = None
+
+    def solve(a: np.ndarray) -> np.ndarray:
+        n = a.shape[0]
+        if a.dtype != np.float64 or a.shape != (n, n) or not (
+                a.flags.f_contiguous and a.flags.writeable):
+            raise ValueError("dsyevd needs a writeable Fortran-ordered square float64 matrix")
+        values = np.empty(n)
+        if n == 0:  # LAPACK rejects LDA = 0
+            return values
+        size, info = integer(n), integer(0)
+
+        def call(work, lwork, iwork, liwork):
+            dsyevd(b"V", b"L", size, a.ctypes.data_as(real_p), size,
+                   values.ctypes.data_as(real_p), work, integer(lwork), iwork,
+                   integer(liwork), info)
+
+        work_size, iwork_size = real(), integer()
+        call(work_size, -1, iwork_size, -1)
+        work = np.empty(int(work_size.value))
+        iwork = np.empty(iwork_size.value, dtype=np.int64)
+        call(work.ctypes.data_as(real_p), work.size, iwork.ctypes.data_as(int_p), iwork.size)
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return values
+
+    return solve
 
 
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition with modulus-descending ordering."""
-    return _eigendecompose(_require_symmetric(matrix, "eigendecompose input"))
+    m = _require_symmetric(matrix, "eigendecompose input")
+    return _eigendecompose(np.array(m, order="F"))
 
 
-def _eigendecompose(m: np.ndarray) -> EigenDecomposition:
-    """eigendecompose for a float matrix the caller built symmetric."""
-    values, vectors = np.linalg.eigh(m)
+def _eigendecompose(a: np.ndarray) -> EigenDecomposition:
+    """eigendecompose of a Fortran-ordered float matrix that the caller built
+    symmetric and hands over: the in-place solver overwrites it."""
+    solve = _in_place_eigensolver()
+    if solve is None:
+        values, vectors = np.linalg.eigh(a)
+    else:
+        values, vectors = solve(a), a
     n = values.shape[0]
-    # eigh returns ascending values; re-sort by (|lambda| desc, value desc, index)
+    # the solver returns ascending values; re-sort by (|lambda| desc, value desc, index)
     order = np.lexsort((np.arange(n), -values, -np.abs(values)))
-    values = values[order]
-    vectors = vectors[:, order]
     if n:  # argmax refuses the empty axis of a 0 x 0 matrix
+        # flip each vector whose largest-magnitude entry is negative; x * 1.0
+        # is x and x * -1.0 is -x exactly, so this multiplies in place
         pivot = np.argmax(np.abs(vectors), axis=0)
-        vectors[:, vectors[pivot, np.arange(n)] < 0] *= -1.0
+        vectors *= np.where(vectors[pivot, np.arange(n)] < 0, -1.0, 1.0)
+    values = values[order]
+    vectors = vectors[:, order]  # F-ordered, whatever the solver's layout
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
@@ -95,7 +177,23 @@ def low_rank_approx(eig: EigenDecomposition, alpha: float) -> np.ndarray:
         return np.zeros((eig.order, eig.order))
     v = eig.eigenvectors[:, :r]
     approx = (v * eig.eigenvalues[:r]) @ v.T
-    return (approx + approx.T) / 2.0
+    _symmetrize(approx)
+    return approx
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """m <- (m + m^T) / 2 in place, one pair of mirrored tiles at a time.
+
+    Entries (i, j) and (j, i) both get (m_ij + m_ji) / 2, which IEEE addition
+    makes the same number, so the result equals the out-of-place expression.
+    """
+    n = m.shape[0]
+    tile = math.isqrt(_BLOCK_ENTRIES)
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            mean = (m[i:i + tile, j:j + tile] + m[j:j + tile, i:i + tile].T) / 2.0
+            m[i:i + tile, j:j + tile] = mean
+            m[j:j + tile, i:i + tile] = mean.T
 
 
 def approx_error_bound(eig: EigenDecomposition, alpha: float) -> float:

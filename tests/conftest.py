@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import signal
 import time
 import warnings
@@ -379,3 +380,68 @@ def dcsbm_oracle(config: DcsbmConfig) -> Graph:
                         f"{block[r, s]} distinct edges"
                     )
     return Graph.from_edges(len(labels), edges)
+
+
+# The forge as it was before it worked in place: numpy's eigh, then copying
+# filter, back-transformation, normalization and entropy, and the one-shot
+# dyad sampler. The in-place pipeline must equal them bit for bit.
+
+
+def former_modularity_matrix(g: Graph) -> np.ndarray:
+    degrees = degree_vector(g)
+    k = degrees.astype(float)
+    return g.adjacency() - np.outer(k, k) / int(degrees.sum())
+
+
+def former_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    values, vectors = np.linalg.eigh(m)
+    n = values.shape[0]
+    order = np.lexsort((np.arange(n), -values, -np.abs(values)))
+    values = values[order]
+    vectors = vectors[:, order]
+    if n:
+        pivot = np.argmax(np.abs(vectors), axis=0)
+        vectors[:, vectors[pivot, np.arange(n)] < 0] *= -1.0
+    return values, vectors
+
+
+def former_probabilities(values, vectors, degrees, alpha, rule, logistic_k=6.0,
+                         transformation="modularity") -> np.ndarray:
+    n = values.shape[0]
+    r = math.ceil(round(alpha * n, 9))
+    if r == 0:
+        m = np.zeros((n, n))
+    else:
+        v = vectors[:, :r]
+        approx = (v * values[:r]) @ v.T
+        m = (approx + approx.T) / 2.0
+    if transformation == "modularity":
+        k = np.asarray(degrees, dtype=float)
+        m = m + np.outer(k, k) / k.sum()
+    if rule == "truncate":
+        out = np.clip(m, 0.0, 1.0)
+    elif rule == "logistic":
+        out = 1.0 / (1.0 + np.exp((0.5 - m) * logistic_k))
+    else:
+        off = ~np.eye(n, dtype=bool)
+        lo, hi = m[off].min(), m[off].max()
+        out = np.clip((m - lo) / (hi - lo), 0.0, 1.0)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def former_entropy(p: np.ndarray) -> tuple[float, float]:
+    """(raw bits, density) of the dyad distribution of p."""
+    n = p.shape[0]
+    upper = p[np.triu_indices(n, k=1)]
+    h = np.zeros_like(upper)
+    interior = (upper > 0.0) & (upper < 1.0)
+    q = upper[interior]
+    h[interior] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    return float(np.sum(h)), float(np.sum(upper) / (n * (n - 1) // 2))
+
+
+def former_sample_dyads(n: int, seed: int, probability) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(n, k=1)
+    hit = np.random.default_rng(seed).random(rows.shape[0]) < probability(rows, cols)
+    return rows[hit], cols[hit]

@@ -72,6 +72,18 @@ def test_generate_deterministic_bytes(tmp_path, clique_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("nodes", [0, 1])
+def test_generate_adjacency_on_a_graph_without_dyads(tmp_path, nodes):
+    # the eigensolve is skipped at n = 0 (LAPACK rejects a leading dimension
+    # of 0) and runs on a 1 x 1 matrix at n = 1
+    path = tmp_path / "tiny.el"
+    path.write_text(f"#nodes {nodes}\n")
+    rc = dispatch(["generate", "--input", str(path), "--alpha", "0.5",
+                   "--transformation", "adjacency", "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "generated.el").read_text() == f"#nodes {nodes}"
+
+
 def test_eval_subcommand(tmp_path, clique_file):
     path, _ = clique_file
     rc = dispatch(["eval", "--input", str(path), "--generated", str(path),
