@@ -1,6 +1,6 @@
 """The cell map behind `bench` and `sweep`: independent cells run on every
-free core that memory allows, with the results, warnings and errors of a
-plain loop.
+free core that memory allows, and the core count changes none of the
+results, warnings and errors that a call reports.
 
 A call that can use two cores or more forks its workers with `os.fork` and
 joins them before it returns; it keeps no pool, thread or module state
@@ -57,12 +57,12 @@ def _free_cores() -> int:
 
 
 def _run_cell(cell: Callable[[int], object], index: int):
-    """One cell in a worker: (index, result, exception or None, its warnings)."""
+    """One cell's outcome record: (index, result, exception or None, its warnings)."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # the parent's filters judge the re-emitted copies
+        warnings.simplefilter("always")  # the caller's filters judge the re-emitted copies
         try:
             result, error = cell(index), None
-        except Exception as exc:  # noqa: BLE001 - re-raised by the parent in cell order
+        except Exception as exc:  # noqa: BLE001 - re-raised by the caller in cell order
             result, error = None, exc
     if error is not None:
         try:
@@ -171,19 +171,22 @@ def _map_cells(cell: Callable[[int], T], count: int, cell_bytes: int) -> list[T]
     Forking two workers, handing them four trivial cells and joining them
     takes 4-5 ms (median; up to 7 ms) in a warmed process with one BLAS
     thread on 2 CPUs, which outweighs the gain only on the smallest calls;
-    a cell's cost is not known before it runs. Warnings raised in the cells
-    are re-emitted in cell order, and the first failing cell's exception is
-    raised after the warnings of the cells before it, as the loop would. A
-    worker that ends without sending its cells back (killed, say) raises
-    ChildProcessError.
+    a cell's cost is not known before it runs. Either way every cell runs,
+    through `_run_cell`; the warnings of the cells up to the first failing
+    one are re-emitted in cell order, each distinct warning once per call
+    under the default filter, and then that cell's exception is raised (a
+    RuntimeError naming it if it cannot be pickled). A worker that ends
+    without sending its cells back (killed, say) raises ChildProcessError.
     """
     workers = min(_free_cores(), count, dense_budget() // max(cell_bytes, 1))
-    if workers < 2:
-        return [cell(i) for i in range(count)]
+    # all records come before any re-emission: catch_warnings clears the registry
+    records = (_fork_join(cell, count, workers) if workers >= 2
+               else [_run_cell(cell, i) for i in range(count)])
+    registry: dict = {}
     results = []
-    for _, result, error, caught in _fork_join(cell, count, workers):
+    for _, result, error, caught in records:
         for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
         if error is not None:
             raise error
         results.append(result)

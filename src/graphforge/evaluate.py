@@ -26,7 +26,7 @@ from . import baselines, forge as forge_mod
 from .cells import _map_cells
 from .community import Partition, louvain_maximize, modularity
 from .forge import ForgeConfig, fit, forge_dense_bytes
-from .graph import Graph, average_clustering, degree_vector, require_dense_budget
+from .graph import Graph, _blocked_runs, average_clustering, degree_vector, require_dense_budget
 from .spectral import low_rank_approx, spectral_norm
 
 # z-score for two-sided 99% confidence under the normal approximation
@@ -239,9 +239,10 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
     strategy's fit, Q*_in, and the Louvain seed of each output. The
     strategy of cell (si, di, gi, run) makes its output with
     seed_from(rng_seed, si, di, gi, run, 0). A cell computes the score when
-    it first needs it, so the forked workers share the work. Failed runs,
-    including inputs that cannot be scored, are excluded from aggregates
-    and surface as a `failures` row.
+    it first needs it, so the forked workers share the work. Runs refused
+    with a ValueError, including inputs that cannot be scored, are excluded
+    from aggregates and surface as a `failures` row; any other exception is
+    a programming error and propagates.
     """
     if runs_per_pair < 2:
         raise ValueError("runs_per_pair must be >= 2")
@@ -265,7 +266,7 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
             output = strategies[si].make(graph, seed_from(rng_seed, si, di, gi, run, 0),
                                          input_score)
             return compare(graph, output, score_seed(di, gi), input_score)
-        except Exception:  # noqa: BLE001 - strategy failures become rows
+        except ValueError:  # a refusal becomes a row; any other error propagates
             return None
 
     graphs = [graph for dataset in datasets for graph in dataset.graphs]
@@ -381,16 +382,9 @@ def _neighbour_blocks(indptr: np.ndarray, nodes: np.ndarray, words: int):
     A block holds one node at least, and otherwise nodes whose neighbours
     and bitset words stay within _BFS_BLOCK words."""
     counts = indptr[nodes + 1] - indptr[nodes]
-    upto = np.cumsum((counts + 64) * (words + 2))
-    lo = 0
-    while lo < nodes.size:
-        done = upto[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(upto, done + _BFS_BLOCK, "right")))
-        runs = counts[lo:hi]
-        heads = np.cumsum(runs) - runs
-        slots = np.arange(heads[-1] + runs[-1]) + np.repeat(indptr[nodes[lo:hi]] - heads, runs)
+    for lo, hi, heads, slots in _blocked_runs(counts, indptr[nodes], _BFS_BLOCK,
+                                              (counts + 64) * (words + 2)):
         yield nodes[lo:hi], slots, heads
-        lo = hi
 
 
 def _seed_distances(graph: Graph, seed_nodes: Sequence[int]) -> np.ndarray:

@@ -36,14 +36,15 @@ _WEDGE_BLOCK = 1 << 19
 # sample_dyads draws the dyads in row panels of about _DYAD_PANEL dyads, whose
 # index arrays, draws, hits and lookup temporaries take about 3 MB; what grows
 # with n is the sampled edges, _BYTES_PER_SAMPLED_EDGE each at the peak (the
-# panels' hits, their concatenation, and Graph's checked copy). Peak RSS
-# grew by 3.6 MB at n = 1000 and 4.6 MB at n = 2000 on planted inputs of
-# density 0.016 (fresh processes), 3.6 and 1.2 bytes per n^2, and by 70.2
-# bytes per edge for a complete output. The upfront estimate is that of such
-# sparse outputs; a denser output is refused once its edges outgrow memory.
+# panels' hits and their concatenation, then the concatenation and Graph's
+# checked copy). Peak RSS grew by 3.6 MB at n = 1000 and 4.6 MB at n = 2000
+# on planted inputs of density 0.016 (fresh processes), 3.6 and 1.2 bytes per
+# n^2, and by 56.2 bytes per edge for a complete output at n = 2000. The
+# upfront estimate is that of such sparse outputs; a denser output is refused
+# once its edges outgrow memory.
 _DYAD_PANEL = 1 << 16
 _DYAD_BYTES_PER_N2 = 4
-_BYTES_PER_SAMPLED_EDGE = 71
+_BYTES_PER_SAMPLED_EDGE = 57
 
 
 def dense_budget() -> int:
@@ -66,12 +67,38 @@ def require_dense_budget(n: int, nbytes: int, what: str) -> None:
         )
 
 
+def _integer_endpoints(arr: np.ndarray) -> np.ndarray:
+    """`arr` as int64; a non-empty array of another dtype than integers
+    (floats or bools, say) is refused rather than truncated."""
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _edge_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
+    arr = _integer_endpoints(np.array(values))
     if arr.ndim != 1:
         raise ValueError(f"edge endpoint arrays must be 1-D, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _blocked_runs(lengths: np.ndarray, starts: np.ndarray, budget: int, weights=None):
+    """(lo, hi, heads, pos) per block of consecutive runs lo .. hi - 1: run r
+    is the `lengths[r]` integers up from `starts[r]`, `pos` lists the block's
+    runs in order and `heads` where each begins in `pos`. A block holds one
+    run at least, and otherwise the runs whose `weights` (by default their
+    lengths) sum to at most `budget`."""
+    upto = np.cumsum(lengths if weights is None else weights)
+    lo = 0
+    while lo < lengths.size:
+        done = upto[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(upto, done + budget, "right")))
+        runs = lengths[lo:hi]
+        heads = np.cumsum(runs) - runs
+        pos = np.arange(heads[-1] + runs[-1]) + np.repeat(starts[lo:hi] - heads, runs)
+        yield lo, hi, heads, pos
+        lo = hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +133,11 @@ class Graph:
         if bad.size:
             i, j = int(rows[bad[0]]), int(cols[bad[0]])
             raise ValueError(f"edge ({i}, {j}) outside node range [0, {self.n})")
-        step_r, step_c = np.diff(rows), np.diff(cols)
-        bad = np.flatnonzero((step_r < 0) | ((step_r == 0) & (step_c <= 0)))
+        # the edge keys i * n + j, here and in _neighbors, must fit in int64
+        if int(cols.max(initial=0)) * self.n + self.n > 2**63:
+            raise ValueError(f"n = {self.n} is too large for the int64 edge keys i * n + j")
+        keys = rows * self.n + cols
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
         if bad.size:
             i, j = int(rows[bad[0] + 1]), int(cols[bad[0] + 1])
             raise ValueError(f"edge ({i}, {j}) out of sorted order or repeated")
@@ -123,7 +153,7 @@ class Graph:
 
         Reversed and repeated pairs collapse to one edge.
         """
-        pairs = np.array(list(edges), dtype=np.int64)
+        pairs = _integer_endpoints(np.array(list(edges)))
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -188,23 +218,14 @@ class Graph:
         tail, head = np.divmod(keys, n)
         # edge p pairs with the later out-edges of its tail: head[p] < head[q]
         later = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
-        upto = np.cumsum(later)
         triangles = np.zeros(n, dtype=np.int64)
-        start = 0
-        while start < m:
-            before = upto[start] - later[start]
-            stop = max(start + 1, int(np.searchsorted(upto, before + _WEDGE_BLOCK, "right")))
-            counts = later[start:stop]
-            first = np.arange(start, stop)
-            offsets = np.cumsum(counts) - counts
-            p = np.repeat(first, counts)
-            q = np.arange(p.size) + np.repeat(first + 1 - offsets, counts)
+        for lo, hi, _, q in _blocked_runs(later, np.arange(1, m + 1), _WEDGE_BLOCK):
+            p = np.repeat(np.arange(lo, hi), later[lo:hi])
             wanted = head[p] * n + head[q]
             found = np.searchsorted(keys, wanted)
             closed = keys[np.minimum(found, m - 1)] == wanted
             for corner in (tail[p[closed]], head[p[closed]], head[q[closed]]):
                 triangles += np.bincount(corner, minlength=n)
-            start = stop
         return 2 * triangles[rank]
 
     @cached_property
@@ -257,23 +278,18 @@ def sample_dyads(n: int, seed: int, probability) -> Graph:
     # PCG64 spends one word on each double, so the panels' draws, taken in
     # order, are the one-shot draw of every dyad
     lengths = np.arange(n - 1, 0, -1)
-    ends = np.cumsum(lengths)
     hit_rows, hit_cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    first = done = kept = 0
-    while first < n - 1:
-        last = max(first + 1, int(np.searchsorted(ends, done + _DYAD_PANEL, side="right")))
-        panel = lengths[first:last]
-        rows = np.repeat(np.arange(first, last), panel)
-        # column = position in the panel + (row + 1 - the row's first position)
-        shift = np.arange(first + 1, last + 1) - (np.cumsum(panel) - panel)
-        cols = np.arange(rows.shape[0]) + np.repeat(shift, panel)
+    kept = 0
+    for first, last, _, cols in _blocked_runs(lengths, np.arange(1, n), _DYAD_PANEL):
+        rows = np.repeat(np.arange(first, last), lengths[first:last])
         hit = rng.random(rows.shape[0]) < probability(rows, cols)
         hit_rows.append(rows[hit])
         hit_cols.append(cols[hit])
         kept += hit_rows[-1].shape[0]
         require_dense_budget(n, _BYTES_PER_SAMPLED_EDGE * kept, what)
-        first, done = last, int(ends[last - 1])
-    return Graph(n, np.concatenate(hit_rows), np.concatenate(hit_cols))
+    rows, cols = np.concatenate(hit_rows), np.concatenate(hit_cols)
+    del hit_rows, hit_cols  # freed before Graph takes its copy
+    return Graph(n, rows, cols)
 
 
 def degree_vector(graph: Graph) -> np.ndarray:
@@ -347,7 +363,8 @@ def load_attributes(text: str, graph: Graph) -> Graph:
     """Attach categorical node attributes from CSV text.
 
     The header must start with a `node` column; remaining columns become
-    attribute names. Nodes absent from the file receive MISSING_VALUE.
+    attribute names, which must be non-empty and distinct after stripping
+    surrounding whitespace. Nodes absent from the file receive MISSING_VALUE.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -359,6 +376,11 @@ def load_attributes(text: str, graph: Graph) -> Graph:
     names = [h.strip() for h in header[1:]]
     if not names:
         raise ValueError("attribute CSV declares no attribute columns")
+    for column, name in enumerate(names, start=2):
+        if not name:
+            raise ValueError(f"attribute CSV column {column} has an empty name")
+        if name in names[:column - 2]:
+            raise ValueError(f"attribute CSV column {column} repeats the name {name!r}")
     columns: dict[str, list[str]] = {
         name: [MISSING_VALUE] * graph.n for name in names
     }

@@ -110,6 +110,23 @@ def test_eval_with_attribute_csv(tmp_path, clique_file):
     assert float(values["attribute:side"]) == 1.0
 
 
+@pytest.mark.parametrize("header, message", [
+    ("node,side,side", "column 3 repeats the name 'side'"),
+    ("node,side,", "column 3 has an empty name"),
+])
+def test_eval_refuses_an_attribute_csv_with_unusable_names(tmp_path, clique_file, capsys,
+                                                           header, message):
+    path, g = clique_file
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text(header + "\n" + "\n".join(f"{v},a,b" for v in range(g.n)))
+    rc = dispatch(["eval", "--input", str(path), "--generated", str(path),
+                   "--attrs", str(attrs), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_attack_subcommand(tmp_path, clique_file, capsys):
     path, _ = clique_file
     rc = dispatch(["attack", "--input", str(path), "--generated", str(path),

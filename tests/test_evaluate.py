@@ -146,6 +146,20 @@ def test_run_experiment_records_failures(two_k4):
     assert rows[0].mean == 2.0
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_run_experiment_raises_what_is_not_a_refusal(monkeypatch, two_k4, cores):
+    # a KeyError is a programming error, not a design the strategy refuses,
+    # so it must not read as a failures row, forked or not
+    monkeypatch.setattr(cells, "_free_cores", lambda: cores)
+
+    def broken(graph, seed, input_score):
+        raise KeyError("no such block")
+
+    with pytest.raises(KeyError, match="no such block"):
+        run_experiment([Strategy("broken", broken)],
+                       [Dataset("d", (two_k4,))], runs_per_pair=2, rng_seed=0)
+
+
 def test_run_experiment_deterministic(two_k4):
     ds = Dataset("d", (two_k4, disjoint_cliques(5, 5)))
     strategies = [sgf_strategy(0.8), dcsbm_strategy()]

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -162,3 +163,63 @@ def test_load_attributes_errors():
         load_attributes("node,x\n0,a\n0,b\n", g)
     with pytest.raises(ValueError, match="must start with 'node'"):
         load_attributes("id,x\n0,a\n", g)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("node,a,a", "column 3 repeats the name 'a'"),
+    ("node,a, a ", "column 3 repeats the name 'a'"),
+    ("node,a,", "column 3 has an empty name"),
+    ("node, ,b", "column 2 has an empty name"),
+])
+def test_load_attributes_refuses_empty_and_repeated_names(header, message):
+    # a repeated name would keep only its last column
+    g = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        load_attributes(f"{header}\n0,x,y\n", g)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph(3, [0.5], [2]),
+    lambda: Graph(3, np.array([0]), np.array([2.0])),
+    lambda: Graph(3, [False], [True]),
+    lambda: Graph.from_edges(3, [(0, 1.7)]),
+    lambda: Graph.from_edges(3, [(0.0, 1.0)]),
+    lambda: Graph.from_edges(3, np.array([[False, True]])),
+])
+def test_graph_refuses_non_integer_endpoints(build):
+    # truncating 0.5 to 0 or 1.7 to 1 would store an edge nobody asked for
+    with pytest.raises(ValueError, match="edge endpoints must be integers, got dtype"):
+        build()
+
+
+def test_graph_accepts_empty_and_integer_endpoints_of_any_width():
+    assert Graph(3, [], []).num_edges == 0
+    assert Graph(3, np.array([], dtype=float), np.array([], dtype=bool)).num_edges == 0
+    assert Graph.from_edges(3, []).num_edges == 0
+    g = Graph(3, np.array([0, 1], dtype=np.uint8), np.array([2, 2], dtype=np.int32))
+    assert g.rows.dtype == g.cols.dtype == np.int64
+    assert g == Graph.from_edges(3, [(2, 1), (0, np.int16(2))])
+
+
+def test_graph_refuses_edge_keys_beyond_int64():
+    # the order check and the neighbour arrays sort edges by i * n + j; a
+    # wrapped key would misreport the second pair of edges as out of order
+    n = 10**13
+    assert Graph(n, [0], [1]).num_edges == 1
+    for edges in ([(0, 10**6)], [(500_000, 500_001), (1_000_000, 1_000_001)]):
+        with pytest.raises(ValueError, match=f"n = {n} is too large for the int64 edge keys"):
+            Graph.from_edges(n, edges)
+    with pytest.raises(ValueError, match="is too large for the int64 edge keys"):
+        load_edge_list("#nodes 100000000000000000000\n0 1\n")
+    top = 3_037_000_499  # isqrt(2**63 - 1): every key of a graph this size fits
+    assert Graph(top, [0, top - 2], [top - 1, top - 1]).num_edges == 2
+
+
+@pytest.mark.parametrize("rows, cols, edge", [
+    ([0, 0], [2, 1], "(0, 1)"),
+    ([1, 0], [2, 2], "(0, 2)"),
+    ([0, 1, 1], [1, 2, 2], "(1, 2)"),
+])
+def test_graph_refuses_unsorted_or_repeated_edges(rows, cols, edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge} out of sorted order or repeated")):
+        Graph(3, rows, cols)

@@ -4,7 +4,8 @@ Random small edge lists come with shuffled orientation and repeated pairs;
 each array-based result is compared exactly with a loop over tuples. The
 attack's bit-parallel seed distances are compared with a Python
 breadth-first search and with scipy's shortest paths, up to three bitset
-words per node.
+words per node. The blocked expansion of ragged runs that the sampler, the
+clustering and the search share is compared with a loop over the runs.
 """
 
 import itertools
@@ -102,6 +103,47 @@ def graphs_with_cliques(draw):
     n = draw(st.integers(0, 14))
     k = draw(st.integers(0, n))
     return Graph.from_edges(n, itertools.combinations(range(k), 2))
+
+
+def blocked_runs_oracle(lengths, starts, budget, weights):
+    """The blocks of `_blocked_runs`, by a loop over the runs: a block takes
+    its first run, then each next run while the weights stay within budget."""
+    blocks, lo = [], 0
+    while lo < len(lengths):
+        hi, total = lo + 1, weights[lo]
+        while hi < len(lengths) and total + weights[hi] <= budget:
+            total += weights[hi]
+            hi += 1
+        heads, pos = [], []
+        for r in range(lo, hi):
+            heads.append(len(pos))
+            pos.extend(range(starts[r], starts[r] + lengths[r]))
+        blocks.append((lo, hi, heads, pos))
+        lo = hi
+    return blocks
+
+
+@st.composite
+def ragged_runs(draw):
+    """(lengths, starts, budget, weights or None), zero-length runs and
+    budgets below one run's weight included."""
+    count = draw(st.integers(0, 12))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=count, max_size=count))
+    starts = draw(st.lists(st.integers(-5, 20), min_size=count, max_size=count))
+    weights = draw(st.none() | st.lists(st.integers(0, 10), min_size=count, max_size=count))
+    return lengths, starts, draw(st.integers(0, 15)), weights
+
+
+@PROPERTY_SETTINGS
+@given(ragged_runs())
+def test_blocked_runs_match_a_python_loop(case):
+    lengths, starts, budget, weights = case
+    blocks = graph_mod._blocked_runs(np.array(lengths, dtype=np.int64),
+                                     np.array(starts, dtype=np.int64), budget,
+                                     None if weights is None else np.array(weights, dtype=np.int64))
+    got = [(lo, hi, heads.tolist(), pos.tolist()) for lo, hi, heads, pos in blocks]
+    assert got == blocked_runs_oracle(lengths, starts, budget,
+                                      lengths if weights is None else weights)
 
 
 @PROPERTY_SETTINGS

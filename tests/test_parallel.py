@@ -294,6 +294,36 @@ def test_warnings_of_parallel_cells_reach_the_caller(monkeypatch, forks):
     assert len([w for w in caught if "exceeds skeleton" in str(w.message)]) == 4
 
 
+_REWIRING_WARNING = """
+import sys
+from graphforge import cells
+from graphforge.cli import dispatch
+cells._free_cores = lambda: int(sys.argv[1])
+sys.exit(dispatch(["bench", "--preset", "planted", "--nodes", "32", "--communities", "4",
+                   "--p-in", "1", "--p-out", "0", "--graphs", "2", "--runs", "3",
+                   "--strategies", "trajanovski", "--seed", "3", "--output-dir", sys.argv[2]]))
+"""
+
+
+def test_a_call_prints_the_same_warnings_at_any_core_count(tmp_path):
+    # every one of the six cells warns that it cannot rewire; under the
+    # default filters the call prints that warning once, forked or not.
+    # pytest's own warning capture would hide the difference, hence a
+    # subprocess per core count
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for cores in (1, 2):
+        out = tmp_path / f"cores{cores}"
+        proc = subprocess.run([sys.executable, "-c", _REWIRING_WARNING, str(cores), str(out)],
+                              env=env, capture_output=True, text=True, timeout=120,
+                              stdin=subprocess.DEVNULL)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stderr, (out / "bench_planted.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count("exceeds skeleton modularity") == 1
+
+
 def _cell_pid(index):
     return os.getpid()
 
