@@ -18,7 +18,7 @@ from graphforge import (
     fit,
     planted_partition,
 )
-from graphforge.evaluate import random_guess_rate
+from graphforge.attack import random_guess_rate
 
 graph, _ = planted_partition(
     PlantedPartitionConfig(n=300, communities=5, p_in=0.25, p_out=0.01, seed=50)

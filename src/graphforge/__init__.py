@@ -2,6 +2,7 @@
 low-rank spectral approximation of the modularity matrix, plus the baselines,
 synthetic benchmarks, metrics, and de-anonymization attack to evaluate it."""
 
+from .attack import AttackConfig, dv_attack
 from .baselines import (
     DcsbmConfig,
     TrajanovskiConfig,
@@ -11,12 +12,10 @@ from .baselines import (
 )
 from .community import (
     Partition,
-    brute_force_max_modularity,
     louvain_maximize,
     modularity,
 )
 from .evaluate import (
-    AttackConfig,
     Dataset,
     ExperimentRow,
     MetricsReport,
@@ -25,7 +24,6 @@ from .evaluate import (
     alpha_sweep,
     compare,
     dcsbm_strategy,
-    dv_attack,
     normalization_study,
     run_experiment,
     score_input,

@@ -20,6 +20,7 @@ import pickle
 import select
 import signal
 import struct
+import sys
 import threading
 import traceback
 import warnings
@@ -56,8 +57,16 @@ def _free_cores() -> int:
         return 1
 
 
+def _module_name(filename: str) -> str | None:
+    """The name of the loaded module whose file is `filename`, which is the
+    module a warning from that file is filtered by; None if there is none."""
+    return next((name for name, module in list(sys.modules.items())
+                 if getattr(module, "__file__", None) == filename), None)
+
+
 def _run_cell(cell: Callable[[int], object], index: int):
-    """One cell's outcome record: (index, result, exception or None, its warnings)."""
+    """One cell's outcome record: (index, result, exception or None, its
+    warnings as (message, category, filename, lineno, module name))."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the caller's filters judge the re-emitted copies
         try:
@@ -69,7 +78,8 @@ def _run_cell(cell: Callable[[int], object], index: int):
             pickle.loads(pickle.dumps(error))
         except Exception:  # noqa: BLE001 - an exception the pipe could not carry back
             error = RuntimeError(f"{type(error).__name__}: {error}")
-    return index, result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return index, result, error, [(w.message, w.category, w.filename, w.lineno,
+                                   _module_name(w.filename)) for w in caught]
 
 
 def _work(cell: Callable[[int], object], tokens: int, out: int, inherited: set[int]) -> NoReturn:
@@ -185,8 +195,8 @@ def _map_cells(cell: Callable[[int], T], count: int, cell_bytes: int) -> list[T]
     registry: dict = {}
     results = []
     for _, result, error, caught in records:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        for message, category, filename, lineno, module in caught:
+            warnings.warn_explicit(message, category, filename, lineno, module, registry)
         if error is not None:
             raise error
         results.append(result)

@@ -13,17 +13,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .attack import AttackConfig, dv_attack, random_guess_rate
 from .evaluate import (
-    AttackConfig,
     Dataset,
     Strategy,
     alpha_sweep,
     compare,
     dcsbm_strategy,
-    dv_attack,
     experiment_csv,
     format_value,
-    random_guess_rate,
     run_experiment,
     seed_from,
     sgf_strategy,

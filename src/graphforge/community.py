@@ -2,9 +2,7 @@
 
 The modularity value sums (A_ij - k_i k_j / |K|) * [c_i == c_j] over all
 ordered node pairs, diagonal included; the self-terms -k_i^2 / |K| are part
-of the sum. The heuristic maximizer is a seeded multilevel local-move
-algorithm; a brute-force enumerator over set partitions serves as the exact
-oracle for small graphs.
+of the sum. The maximizer is a seeded multilevel local-move heuristic.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from .graph import Graph, degree_vector, require_dense_budget
 # a full local-move pass improving total modularity by less than this stops
 _GAIN_EPS = 1e-9
 _MOVE_EPS = 1e-12
-
-BRUTE_FORCE_MAX_NODES = 12
 
 # chain refinement costs O(n * m) per pass, so it only runs where that is free
 _REFINE_MAX_NODES = 100
@@ -319,68 +315,3 @@ def louvain_maximize(graph: Graph, rng_seed: int):
         if q > best_q + _MOVE_EPS:
             best_partition, best_q = partition, q
     return best_partition, best_q
-
-
-def _restricted_growth_blocks(n: int, max_rows: int = 1 << 16):
-    """Every restricted-growth string of length n >= 1, in lexicographic order.
-
-    Each string labels the nodes 0..n-1 by first appearance, so the strings
-    are the set partitions, once each. They come as int8 row blocks of at
-    most max_rows rows: a block whose next column would exceed that is split
-    in two, and row r's children (labels 0..max(r)+1) stay adjacent and in
-    order, which keeps the whole sequence lexicographic.
-    """
-    def expand(strings, top):
-        if strings.shape[1] == n:
-            yield strings
-            return
-        counts = top.astype(np.int64) + 2
-        if counts.sum() > max_rows and len(strings) > 1:
-            half = len(strings) // 2
-            yield from expand(strings[:half], top[:half])
-            yield from expand(strings[half:], top[half:])
-            return
-        parent = np.repeat(np.arange(len(strings)), counts)
-        label = (np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.int8)
-        yield from expand(np.column_stack([strings[parent], label]), np.maximum(top[parent], label))
-
-    yield from expand(np.zeros((1, 1), np.int8), np.zeros(1, np.int8))
-
-
-def brute_force_max_modularity(graph: Graph):
-    """Exact maximum-modularity partition by exhaustive enumeration.
-
-    Guarded to n <= 12 (Bell-number blowup). Returns (partition, q_star);
-    ties keep the first partition in restricted-growth enumeration order.
-
-    Each partition is scored by the integer numerator of q = N / |K|^2,
-    N = 2 |K| intra - sum_c K_c^2. Distinct q differ by at least
-    1/|K|^2 >= 1/132^2 for n <= 12, far above the 1e-12 tie tolerance, so
-    the first maximal N is the partition a running best over float q keeps;
-    its q is then scored by `modularity`.
-    """
-    if graph.n > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(
-            f"brute force limited to n <= {BRUTE_FORCE_MAX_NODES}, got n = {graph.n}"
-        )
-    degrees = degree_vector(graph)
-    total = int(degrees.sum())
-    if total == 0:
-        raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
-    edges = graph.sorted_edges()
-    best_labels = None
-    best_numerator = -math.inf
-    for block in _restricted_growth_blocks(graph.n):
-        intra = np.zeros(len(block), np.int64)
-        for i, j in edges:
-            intra += block[:, i] == block[:, j]
-        numerator = 2 * total * intra
-        for c in range(graph.n):
-            comm_degree = (block == c) @ degrees
-            numerator -= comm_degree * comm_degree
-        row = int(np.argmax(numerator))
-        if numerator[row] > best_numerator:
-            best_labels, best_numerator = tuple(block[row].tolist()), int(numerator[row])
-    # a restricted-growth string is already a canonical partition
-    best = Partition(best_labels)
-    return best, modularity(graph, best)

@@ -64,22 +64,30 @@ class ForgeConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.rule not in NORMALIZATION_RULES:
-            raise ValueError(f"unknown normalization rule {self.rule!r}")
-        if self.rule == "logistic" and not 2.0 <= self.logistic_k <= 10.0:
-            raise ValueError(f"logistic k must lie in [2, 10], got {self.logistic_k}")
-        if self.transformation not in TRANSFORMATIONS:
-            raise ValueError(f"unknown transformation {self.transformation!r}")
+        _check_rule(self.rule, self.logistic_k)
+        _check_transformation(self.transformation)
+
+
+def _check_rule(rule: str, logistic_k: float) -> None:
+    if rule not in NORMALIZATION_RULES:
+        raise ValueError(f"unknown normalization rule {rule!r}")
+    if rule == "logistic" and not 2.0 <= logistic_k <= 10.0:
+        raise ValueError(f"logistic k must lie in [2, 10], got {logistic_k}")
+
+
+def _check_transformation(transformation: str) -> None:
+    if transformation not in TRANSFORMATIONS:
+        raise ValueError(f"unknown transformation {transformation!r}")
 
 
 def back_transform(m_tilde: np.ndarray, degrees: np.ndarray, transformation: str = "modularity") -> np.ndarray:
     """Undo the forward transformation on a filtered matrix.
 
     Modularity mode adds back the k k^T / |K| null model; adjacency mode is
-    the identity.
+    the identity. The checked entry point for a user matrix, which it
+    copies; `SpectralModel.at` shifts its own matrix in place.
     """
-    if transformation not in TRANSFORMATIONS:
-        raise ValueError(f"unknown transformation {transformation!r}")
+    _check_transformation(transformation)
     m = np.array(m_tilde, dtype=float)
     k = np.asarray(degrees, dtype=float)
     if m.shape[0] != k.shape[0]:
@@ -99,29 +107,30 @@ def normalize(a_tilde: np.ndarray, rule: str = "truncate", logistic_k: float = D
     logistic: 1 / (1 + exp((0.5 - x) * k)); truncate: clamp to [0, 1];
     scale: affine map of the off-diagonal range onto [0, 1] (fails when the
     off-diagonal entries are all equal). The diagonal is structurally zero:
-    dyads never include self-pairs.
+    dyads never include self-pairs. The checked entry point for a user
+    matrix, which it copies; `SpectralModel.at` calls `_normalize` on its
+    own matrix.
     """
+    _check_rule(rule, logistic_k)
     out = _normalize(_require_symmetric(a_tilde, "normalize input").copy(), rule, logistic_k)
     return (out + out.T) / 2.0
 
 
 def _normalize(m: np.ndarray, rule: str, logistic_k: float) -> np.ndarray:
     """normalize in place, for a float matrix the caller owns and built
-    exactly symmetric; every rule maps entries one by one, so the result is
-    exactly symmetric too."""
+    exactly symmetric, under a rule and k that `_check_rule` passed; every
+    rule maps entries one by one, so the result is exactly symmetric too."""
     n = m.shape[0]
     if rule == "truncate":
         np.clip(m, 0.0, 1.0, out=m)
     elif rule == "logistic":
-        if not 2.0 <= logistic_k <= 10.0:
-            raise ValueError(f"logistic k must lie in [2, 10], got {logistic_k}")
         # 1 / (1 + exp((0.5 - m) * k)), one operation at a time
         np.subtract(0.5, m, out=m)
         np.multiply(m, logistic_k, out=m)
         np.exp(m, out=m)
         np.add(1.0, m, out=m)
         np.divide(1.0, m, out=m)
-    elif rule == "scale":
+    else:  # scale
         if n < 2:
             raise ValueError("scale rule needs at least one off-diagonal entry")
         # the diagonal is zeroed below, so it may hold an off-diagonal value
@@ -133,8 +142,6 @@ def _normalize(m: np.ndarray, rule: str, logistic_k: float) -> np.ndarray:
         np.subtract(m, lo, out=m)
         np.divide(m, hi - lo, out=m)
         np.clip(m, 0.0, 1.0, out=m)
-    else:
-        raise ValueError(f"unknown normalization rule {rule!r}")
     np.fill_diagonal(m, 0.0)
     return m
 
@@ -209,12 +216,18 @@ class ForgedDistribution:
 
 
 def sample_bernoulli(prob_matrix: np.ndarray, seed: int) -> Graph:
-    """Draw one graph from a probability matrix (see `ForgedDistribution.sample`)."""
+    """Draw one graph from a probability matrix (see `ForgedDistribution.sample`).
+
+    The checked entry point for a user matrix; the pipeline's distributions
+    sample themselves."""
     return ForgedDistribution(_check_probability_matrix(prob_matrix)).sample(seed)
 
 
 def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
-    """Entropy of the graph distribution defined by a probability matrix."""
+    """Entropy of the graph distribution defined by a probability matrix.
+
+    The checked entry point for a user matrix; the pipeline's distributions
+    score themselves."""
     return ForgedDistribution(_check_probability_matrix(prob_matrix)).entropy()
 
 
@@ -237,6 +250,7 @@ class SpectralModel:
            logistic_k: float = DEFAULT_LOGISTIC_K) -> ForgedDistribution:
         """Keep the ceil(alpha * n) leading eigenterms, transform back and
         normalize; the probabilities equal `edge_probabilities`."""
+        _check_rule(rule, logistic_k)
         m = low_rank_approx(self.eig, alpha)
         if self.transformation == "modularity":
             _shift_by_null_model(m, self.degrees.astype(float), np.add)
@@ -249,8 +263,7 @@ def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
     M is symmetric by construction, so its symmetry is not checked; the
     eigensolve overwrites M, which is released once its eigenpairs are taken.
     """
-    if transformation not in TRANSFORMATIONS:
-        raise ValueError(f"unknown transformation {transformation!r}")
+    _check_transformation(transformation)
     require_dense_budget(graph.n, forge_dense_bytes(graph.n), "forging a graph")
     if transformation == "modularity":
         m = modularity_matrix(graph)  # raises on edgeless input
@@ -264,7 +277,8 @@ def edge_probabilities(graph: Graph, config: ForgeConfig) -> np.ndarray:
     """The probability matrix the pipeline samples from, without sampling.
 
     `forge(graph, config)` is distributed Bernoulli(edge_probabilities(graph,
-    config)) dyad by dyad.
+    config)) dyad by dyad. A one-call form of `fit(...).at(...)`, kept for
+    the benchmark trace, which pins it.
     """
     return fit(graph, config.transformation).at(
         config.alpha, config.rule, config.logistic_k).probabilities

@@ -254,6 +254,8 @@ class Graph:
         return [indices[indptr[v]:indptr[v + 1]] for v in range(self.n)]
 
     def neighbor_sets(self) -> list[set[int]]:
+        """Neighbour id sets of every node. The library reads the neighbour
+        arrays; this is kept for the benchmark trace, which pins it."""
         return [set(nbrs) for nbrs in self.neighbor_lists()]
 
     def with_attributes(self, attributes) -> "Graph":

@@ -142,7 +142,11 @@ def _in_place_eigensolver():
 
 
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
-    """Full symmetric eigendecomposition with modulus-descending ordering."""
+    """Full symmetric eigendecomposition with modulus-descending ordering.
+
+    The checked entry point for a user matrix: it refuses an asymmetric one
+    and decomposes a copy. `fit` hands its own matrix to `_eigendecompose`.
+    """
     m = _require_symmetric(matrix, "eigendecompose input")
     return _eigendecompose(np.array(m, order="F"))
 

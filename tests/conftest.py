@@ -18,6 +18,7 @@ from graphforge.baselines import (
     _community_sizes,
     community_skeleton_partition,
 )
+from graphforge.community import Partition, modularity
 from graphforge.graph import Graph, degree_vector
 
 # wall-clock limit on each test's setup, call and teardown together, so that a
@@ -108,6 +109,74 @@ def blocks_to_labels(blocks, n):
         for v in block:
             labels[v] = cid
     return labels
+
+
+BRUTE_FORCE_MAX_NODES = 12
+
+
+def restricted_growth_blocks(n: int, max_rows: int = 1 << 16):
+    """Every restricted-growth string of length n >= 1, in lexicographic order.
+
+    Each string labels the nodes 0..n-1 by first appearance, so the strings
+    are the set partitions, once each. They come as int8 row blocks of at
+    most max_rows rows: a block whose next column would exceed that is split
+    in two, and row r's children (labels 0..max(r)+1) stay adjacent and in
+    order, which keeps the whole sequence lexicographic.
+    """
+    def expand(strings, top):
+        if strings.shape[1] == n:
+            yield strings
+            return
+        counts = top.astype(np.int64) + 2
+        if counts.sum() > max_rows and len(strings) > 1:
+            half = len(strings) // 2
+            yield from expand(strings[:half], top[:half])
+            yield from expand(strings[half:], top[half:])
+            return
+        parent = np.repeat(np.arange(len(strings)), counts)
+        label = (np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.int8)
+        yield from expand(np.column_stack([strings[parent], label]), np.maximum(top[parent], label))
+
+    yield from expand(np.zeros((1, 1), np.int8), np.zeros(1, np.int8))
+
+
+def brute_force_max_modularity(graph: Graph):
+    """Exact maximum-modularity partition by exhaustive enumeration.
+
+    Guarded to n <= 12 (Bell-number blowup). Returns (partition, q_star);
+    ties keep the first partition in restricted-growth enumeration order.
+
+    Each partition is scored by the integer numerator of q = N / |K|^2,
+    N = 2 |K| intra - sum_c K_c^2. Distinct q differ by at least
+    1/|K|^2 >= 1/132^2 for n <= 12, far above the 1e-12 tie tolerance, so
+    the first maximal N is the partition a running best over float q keeps;
+    its q is then scored by `modularity`.
+    """
+    if graph.n > BRUTE_FORCE_MAX_NODES:
+        raise ValueError(
+            f"brute force limited to n <= {BRUTE_FORCE_MAX_NODES}, got n = {graph.n}"
+        )
+    degrees = degree_vector(graph)
+    total = int(degrees.sum())
+    if total == 0:
+        raise ValueError("graph has no edges: modularity is undefined (|K| = 0)")
+    edges = graph.sorted_edges()
+    best_labels = None
+    best_numerator = -math.inf
+    for block in restricted_growth_blocks(graph.n):
+        intra = np.zeros(len(block), np.int64)
+        for i, j in edges:
+            intra += block[:, i] == block[:, j]
+        numerator = 2 * total * intra
+        for c in range(graph.n):
+            comm_degree = (block == c) @ degrees
+            numerator -= comm_degree * comm_degree
+        row = int(np.argmax(numerator))
+        if numerator[row] > best_numerator:
+            best_labels, best_numerator = tuple(block[row].tolist()), int(numerator[row])
+    # a restricted-growth string is already a canonical partition
+    best = Partition(best_labels)
+    return best, modularity(graph, best)
 
 
 def clustering_oracle(n: int, edges: set[tuple[int, int]]) -> float:

@@ -11,12 +11,7 @@ from scipy.stats import spearmanr
 
 from graphforge.baselines import DcsbmConfig, dcsbm_config_from, dcsbm_generate
 from graphforge.cli import dispatch
-from graphforge.community import (
-    Partition,
-    brute_force_max_modularity,
-    louvain_maximize,
-    modularity,
-)
+from graphforge.community import Partition, louvain_maximize, modularity
 from graphforge.evaluate import (
     AttackConfig,
     Dataset,
@@ -40,7 +35,13 @@ from graphforge.generators import (
 )
 from graphforge.graph import Graph, degree_vector, write_edge_list
 
-from conftest import blocks_to_labels, disjoint_cliques, modularity_oracle, set_partitions_oracle
+from conftest import (
+    blocks_to_labels,
+    brute_force_max_modularity,
+    disjoint_cliques,
+    modularity_oracle,
+    set_partitions_oracle,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

@@ -3,16 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from graphforge.community import (
-    Partition,
-    brute_force_max_modularity,
-    louvain_maximize,
-    modularity,
-)
+from graphforge.community import Partition, louvain_maximize, modularity
 from graphforge.graph import Graph
 
 from conftest import (
     blocks_to_labels,
+    brute_force_max_modularity,
     complete_graph,
     disjoint_cliques,
     modularity_oracle,

@@ -23,14 +23,11 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from graphforge import community
-from graphforge.community import (
-    Partition,
-    brute_force_max_modularity,
-    louvain_maximize,
-    modularity,
-)
-from graphforge.evaluate import _pair_order
+from graphforge.attack import _pair_order
+from graphforge.community import Partition, louvain_maximize, modularity
 from graphforge.graph import Graph, degree_vector
+
+from conftest import brute_force_max_modularity, restricted_growth_blocks
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -334,7 +331,7 @@ def test_louvain_scores_at_least_the_singleton_partition(g, seed):
 def test_restricted_growth_blocks_are_the_former_enumeration(max_rows):
     # small blocks force the split path, which must keep the order
     for n in range(1, 8):
-        blocks = list(community._restricted_growth_blocks(n, max_rows))
+        blocks = list(restricted_growth_blocks(n, max_rows))
         assert all(len(block) <= max(max_rows, n + 1) for block in blocks)
         strings = [tuple(row) for block in blocks for row in block.tolist()]
         assert strings == list(former_set_partitions(n))

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from graphforge import cells, evaluate
+from graphforge import attack, cells, evaluate
+from graphforge.attack import AttackConfig, dv_attack, random_guess_rate
 from graphforge.community import louvain_maximize
 from graphforge.evaluate import (
-    AttackConfig,
     Dataset,
     Strategy,
     alpha_sweep,
     compare,
     dcsbm_strategy,
-    dv_attack,
     experiment_csv,
     normalization_study,
-    random_guess_rate,
     run_experiment,
     score_input,
     seed_from,
@@ -104,7 +102,7 @@ def test_dv_attack_deterministic(two_k4):
 def test_dv_attack_refuses_distances_beyond_exact_float64(monkeypatch):
     # only hosts with hundreds of GB admit such an attack; on others the
     # memory guard refuses first
-    monkeypatch.setattr(evaluate, "require_dense_budget", lambda *args: None)
+    monkeypatch.setattr(attack, "require_dense_budget", lambda *args: None)
     g = Graph(170000, [], [])
     with pytest.raises(ValueError, match="exact integer range"):
         dv_attack(g, g, AttackConfig(seed_fraction=0.99))

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from graphforge.forge import (
     ForgeConfig,
     back_transform,
     edge_probabilities,
+    fit,
     forge,
     normalize,
     normalized_entropy,
@@ -16,6 +18,9 @@ from graphforge.graph import Graph, degree_vector
 from graphforge.spectral import eigendecompose, low_rank_approx, modularity_matrix
 
 from conftest import complete_graph
+
+# the package's `forge` function hides the module of that name
+forge_mod = importlib.import_module("graphforge.forge")
 
 
 def test_back_transform_inverts_modularity_transform(two_k4):
@@ -220,6 +225,23 @@ def test_forge_config_validation():
         ForgeConfig(alpha=0.5, rule="logistic", logistic_k=12.0)
     with pytest.raises(ValueError):
         ForgeConfig(alpha=0.5, transformation="laplacian")
+
+
+@pytest.mark.parametrize("rule, k, message", [
+    ("bogus", 6.0, "unknown normalization rule 'bogus'"),
+    ("logistic", 50, r"logistic k must lie in \[2, 10\], got 50"),
+])
+def test_bad_rule_is_refused_before_any_matrix_work(monkeypatch, two_k4, rule, k, message):
+    def no_matrix_work(*args, **kwargs):
+        raise AssertionError("n x n work before the rule check")
+
+    model = fit(two_k4)
+    monkeypatch.setattr(forge_mod, "low_rank_approx", no_matrix_work)
+    monkeypatch.setattr(forge_mod, "_require_symmetric", no_matrix_work)
+    with pytest.raises(ValueError, match=message):
+        model.at(0.5, rule, k)
+    with pytest.raises(ValueError, match=message):
+        normalize(np.zeros((3, 3)), rule, k)
 
 
 def test_entropy_of_pipeline_non_increasing_in_alpha():

@@ -5,22 +5,25 @@ each array-based result is compared exactly with a loop over tuples. The
 attack's bit-parallel seed distances are compared with a Python
 breadth-first search and with scipy's shortest paths, up to three bitset
 words per node. The blocked expansion of ragged runs that the sampler, the
-clustering and the search share is compared with a loop over the runs.
+clustering and the search share is compared with a loop over the runs. The
+wedge and seed-distance kernels also run on fixed shapes that stress them
+differently: a long path, a grid, a star and a dense uniform graph.
 """
 
 import itertools
+import math
 from collections import Counter, deque
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
-from graphforge import evaluate
+from graphforge import attack
 from graphforge import graph as graph_mod
-from graphforge.evaluate import _seed_distances
+from graphforge.attack import _seed_distances
 from graphforge.graph import (
     Graph,
     average_clustering,
@@ -29,9 +32,36 @@ from graphforge.graph import (
     write_edge_list,
 )
 
-from conftest import clustering_oracle
+from conftest import clustering_oracle, path_graph
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _fixed_shapes() -> list[tuple[Graph, list[int]]]:
+    """(graph, seeds) for a 300-node path, a 15 x 15 grid, a star of 200
+    leaves and a uniform graph of 80 nodes at p = 0.3, each with
+    ceil(0.05 n) distinct seeds, as the attack draws them."""
+    rng = np.random.default_rng(11)
+    side = 15
+    grid = [(v, v + 1) for v in range(side * side) if v % side < side - 1]
+    grid += [(v, v + side) for v in range(side * (side - 1))]
+    rows, cols = np.triu_indices(80, k=1)
+    hit = rng.random(rows.size) < 0.3
+    graphs = [path_graph(300), Graph.from_edges(side * side, grid),
+              Graph.from_edges(201, [(0, leaf) for leaf in range(1, 201)]),
+              Graph.from_edges(80, zip(rows[hit].tolist(), cols[hit].tolist()))]
+    return [(g, sorted(rng.choice(g.n, math.ceil(0.05 * g.n), replace=False).tolist()))
+            for g in graphs]
+
+
+def _on_fixed_shapes(blocks, with_seeds):
+    """Explicit examples: each fixed shape at each block size."""
+    def decorate(test):
+        for g, seeds in _fixed_shapes():
+            for block in blocks:
+                test = example((g, seeds) if with_seeds else g, block)(test)
+        return test
+    return decorate
 
 
 @st.composite
@@ -148,6 +178,7 @@ def test_blocked_runs_match_a_python_loop(case):
 
 @PROPERTY_SETTINGS
 @given(graphs_with_cliques(), st.sampled_from([1, 2, 5, graph_mod._WEDGE_BLOCK]))
+@_on_fixed_shapes([1, graph_mod._WEDGE_BLOCK], with_seeds=False)
 def test_links_and_neighbours_match_dense_oracle(g, block):
     # any wedge block size, down to one candidate pair, gives the same links
     a = g.adjacency()
@@ -201,13 +232,14 @@ def seeded_graphs(draw):
 
 
 @PROPERTY_SETTINGS
-@given(seeded_graphs(), st.sampled_from([1, 300, evaluate._BFS_BLOCK]))
+@given(seeded_graphs(), st.sampled_from([1, 300, attack._BFS_BLOCK]))
+@_on_fixed_shapes([1, attack._BFS_BLOCK], with_seeds=True)
 def test_seed_distances_match_python_bfs(case, block):
     # any block size, down to one node per block, gives the same distances
     g, seeds = case
     nbrs = g.neighbor_sets()
     expected = np.stack([bfs_distances(nbrs, s, g.n, sentinel=g.n) for s in seeds])
-    with mock.patch.object(evaluate, "_BFS_BLOCK", block):
+    with mock.patch.object(attack, "_BFS_BLOCK", block):
         dist = _seed_distances(g, seeds)
     assert dist.shape == (len(seeds), g.n) and dist.dtype == np.float64
     assert np.array_equal(dist, expected)

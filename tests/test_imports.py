@@ -79,7 +79,7 @@ EXPORTED = [
     "MetricsReport", "Partition", "PlantedPartitionConfig", "SpectralModel", "Strategy",
     "SweepRow", "TrajanovskiConfig", "alpha_sweep", "approx_error_bound",
     "average_clustering", "back_transform", "barabasi_albert",
-    "brute_force_max_modularity", "compare", "dcsbm_config_from", "dcsbm_generate",
+    "compare", "dcsbm_config_from", "dcsbm_generate",
     "dcsbm_strategy", "degree_vector", "dv_attack", "edge_probabilities", "eigendecompose",
     "erdos_renyi", "fit", "forge", "lancichinetti", "load_attributes", "load_edge_list",
     "louvain_maximize", "low_rank_approx", "modularity", "modularity_matrix",

@@ -29,6 +29,7 @@ from graphforge.evaluate import (
     dcsbm_strategy,
     experiment_csv,
     run_experiment,
+    score_input,
     sgf_strategy,
     trajanovski_strategy,
 )
@@ -292,6 +293,33 @@ def test_warnings_of_parallel_cells_reach_the_caller(monkeypatch, forks):
     assert len(forks) == 2
     assert {Path(w.filename).name for w in caught} == {"baselines.py"}
     assert len([w for w in caught if "exceeds skeleton" in str(w.message)]) == 4
+
+
+def _recorded_warnings(graph, *filters):
+    """(filename, lineno) of each warning that a run_experiment rewiring
+    `graph` records under the default filters plus `filters`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        for action, kwargs in filters:
+            warnings.filterwarnings(action, **kwargs)
+        run_experiment([trajanovski_strategy()], [Dataset("cliques", (graph,))], 2, rng_seed=3)
+    return [(w.filename, w.lineno) for w in caught]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_module_filters_judge_the_warnings_of_cells(monkeypatch, forks, cores):
+    graph = disjoint_cliques(4, 4)
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        trajanovski_strategy().make(graph, 0, score_input(graph, 0))
+    _cores(monkeypatch, cores)
+    assert _recorded_warnings(graph, ("ignore", dict(
+        category=UserWarning, module=r"graphforge\.baselines"))) == []
+    assert len(forks) == (2 if cores == 2 else 0)
+    # unfiltered, the warning comes once, from the line a direct call names
+    assert len(direct) == 1
+    assert _recorded_warnings(graph) == [(w.filename, w.lineno) for w in direct]
 
 
 _REWIRING_WARNING = """

@@ -15,15 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphforge.evaluate import (
-    AttackConfig,
-    _greedy_match_hits,
-    _ratio,
-    _score_output,
-    compare,
-    dv_attack,
-    score_input,
-)
+from graphforge.attack import AttackConfig, _greedy_match_hits, dv_attack
+from graphforge.evaluate import _ratio, _score_output, compare, score_input
 from graphforge.forge import (
     DEFAULT_LOGISTIC_K,
     NORMALIZATION_RULES,
