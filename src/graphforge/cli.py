@@ -114,6 +114,8 @@ def _parse_alphas(spec: str) -> list[float]:
 
 
 def _parse_strategies(spec: str, rule: str, logistic_k: float, transformation: str) -> list[Strategy]:
+    """The strategies of a comma list; the CSV keys its rows by strategy
+    name, so two strategies of one name are refused."""
     out: list[Strategy] = []
     for token in spec.split(","):
         token = token.strip()
@@ -121,12 +123,15 @@ def _parse_strategies(spec: str, rule: str, logistic_k: float, transformation: s
             continue
         if token.startswith("sgf:"):
             alpha = float(token.split(":", 1)[1])
-            out.append(sgf_strategy(alpha, rule=rule, logistic_k=logistic_k,
-                                    transformation=transformation))
+            strategy = sgf_strategy(alpha, rule=rule, logistic_k=logistic_k,
+                                    transformation=transformation)
         elif token in _BASELINES:
-            out.append(_BASELINES[token]())
+            strategy = _BASELINES[token]()
         else:
             raise ValueError(f"unknown strategy {token!r} (use {_STRATEGY_SPELLINGS})")
+        if any(s.name == strategy.name for s in out):
+            raise ValueError(f"strategy {token!r} repeats the name {strategy.name!r}")
+        out.append(strategy)
     if not out:
         raise ValueError("no strategies given")
     return out

@@ -253,8 +253,6 @@ def _chain_refine(nbrs, node_degree, two_m, labels):
                     gain = score - stay
                     if step_best is None or gain > step_best[0] + _MOVE_EPS:
                         step_best = (gain, i, target)
-            if step_best is None:
-                break
             gain, i, target = step_best
             a = labels[i]
             comm_degree[a] -= node_degree[i]

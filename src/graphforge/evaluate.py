@@ -126,13 +126,8 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int,
     attr_ratios: dict[str, float | None] = {}
     for name, values in input_graph.attributes.items():
         part = Partition.from_labels(values)
-        q_attr_in = modularity(input_graph, part)
-        if abs(q_attr_in) < 1e-12:
-            attr_ratios[name] = None
-        elif output_graph.num_edges == 0:
-            attr_ratios[name] = None
-        else:
-            attr_ratios[name] = modularity(output_graph, part) / q_attr_in
+        attr_ratios[name] = None if output_graph.num_edges == 0 else _ratio(
+            modularity(output_graph, part), modularity(input_graph, part))
 
     return MetricsReport(
         modularity_ratio=_ratio(q_out, q_in),
@@ -212,9 +207,7 @@ class ExperimentRow:
     runs: int
 
 
-def _aggregate(values: list[float]) -> tuple[float | None, float | None, float | None]:
-    if not values:
-        return None, None, None
+def _aggregate(values: list[float]) -> tuple[float, float | None, float | None]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size < 2:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,8 +152,6 @@ def _match_stubs(rng, stubs: list[int], edges: set, forbidden_same: list[int] | 
     while len(pool) >= 2:
         u = pool.pop()
         for _ in range(STUB_RETRY_LIMIT):
-            if not pool:
-                break
             idx = int(rng.integers(len(pool)))
             v = pool[idx]
             if v == u:
@@ -184,21 +183,15 @@ def lancichinetti(config: LancichinettiConfig):
     rng = np.random.default_rng(config.seed)
     n = config.n
     sizes = _geometric_sizes(rng, config.mean_community_size, n)
-    labels: list[int] = []
-    for c, s in enumerate(sizes):
-        labels.extend([c] * s)
+    blocks = [range(end - s, end) for s, end in zip(sizes, accumulate(sizes))]
+    labels = [c for c, nodes in enumerate(blocks) for _ in nodes]
     degrees = np.minimum(rng.geometric(1.0 / config.mean_degree, size=n), n - 1)
-
-    members: dict[int, list[int]] = {}
-    for v, c in enumerate(labels):
-        members.setdefault(c, []).append(v)
 
     edges: set[tuple[int, int]] = set()
     inter_pool: list[int] = []
     intra_requested = 0
     intra_placed = 0
-    for c in sorted(members):
-        nodes = members[c]
+    for nodes in blocks:
         cap = len(nodes) - 1
         intra_pool: list[int] = []
         for v in nodes:

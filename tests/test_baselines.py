@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -452,3 +453,24 @@ def test_dcsbm_too_dense_across_rounds_equals_former(seed):
     outcome = _outcome(dcsbm_generate, cfg)
     assert outcome == _outcome(dcsbm_oracle, cfg)
     assert outcome[0] == "ValueError: block (0, 0) too dense: could not place 4 distinct edges"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrajanovskiConfig(q_target=0.1, communities=0, n=4, num_edges=3),
+     "need 1 <= communities <= n"),
+    (lambda: TrajanovskiConfig(q_target=0.1, communities=5, n=4, num_edges=3),
+     "need 1 <= communities <= n"),
+    (lambda: DcsbmConfig(degrees=(1, 1), partition=Partition((0, 0, 0)), block_edges=((1,),)),
+     "partition length must match degree sequence length"),
+    (lambda: DcsbmConfig(degrees=(-1, 1), partition=Partition((0, 0)), block_edges=((0,),)),
+     "degrees must be non-negative"),
+    (lambda: DcsbmConfig(degrees=(1, 1), partition=Partition((0, 1)), block_edges=((1,),)),
+     "block_edges must be 2x2, got (1, 1)"),
+    (lambda: DcsbmConfig(degrees=(0, 0), partition=Partition((0, 0)), block_edges=((-1,),)),
+     "block edge counts must be non-negative"),
+    (lambda: dcsbm_config_from(Graph.from_edges(3, [(0, 1)]), Partition((0, 0))),
+     "partition length must match graph node count"),
+])
+def test_baseline_configs_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

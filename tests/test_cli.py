@@ -233,6 +233,8 @@ def test_bench_keeps_an_unscorable_input_as_a_failures_row(tmp_path):
     (["--graphs", "1", "--runs", "200000000", "--strategies", "dcsbm"],
      "design has 200000000 cells"),
     (["--graphs", "1000000000", "--runs", "2"], "more than the 100000 a bench takes"),
+    (["--strategies", ","], "no strategies given"),
+    (["--preset", "planted"], "preset 'planted' requires --p-in and --p-out"),
 ])
 def test_bench_checks_design_before_drawing(tmp_path, capsys, no_draw, flags, message):
     # a bad knob is an error of the whole design, not a failed run: it must
@@ -345,6 +347,30 @@ def test_unknown_strategy_reports_error(tmp_path, capsys):
                    "--runs", "2", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["flags", "config"])
+def test_bench_refuses_strategies_whose_names_repeat(tmp_path, capsys, no_draw, spelling):
+    # sgf:0.9 and sgf:0.90 both write rows named sgf:0.9, which the CSV
+    # could not tell apart
+    flags = ["--graphs", "1", "--runs", "2", "--seed", "1"]
+    strategies = "sgf:0.9,sgf:0.90,dcsbm,dcsbm"
+    if spelling == "flags":
+        flags += ["--strategies", strategies]
+    else:
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"strategies": strategies}))
+        flags += ["--config", str(design)]
+    rc = dispatch(["bench", "--output-dir", str(tmp_path / "out")] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeats the name 'sgf:0.9'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_usage_error_returns_2(capsys):
+    assert dispatch(["generate"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("graphforge generate: error:")
 
 
 @pytest.mark.parametrize("command", [

@@ -65,6 +65,18 @@ def test_compare_attribute_ratio(two_k4):
     assert report.attribute_modularity_ratios["block"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("labels, output", [
+    # one category: Q_attr_in is 0, so the ratio is undefined
+    (("a",) * 8, lambda g: g),
+    # an edgeless output has no modularity under any partition
+    (("a",) * 4 + ("b",) * 4, lambda g: Graph.from_edges(g.n, [])),
+])
+def test_compare_attribute_ratio_is_undefined(two_k4, labels, output):
+    g = two_k4.with_attributes({"block": labels})
+    report = compare(g, output(g), rng_seed=2)
+    assert report.attribute_modularity_ratios == {"block": None}
+
+
 def test_compare_rejects_mismatched_sizes(two_k4):
     with pytest.raises(ValueError, match="same node count"):
         compare(two_k4, Graph.from_edges(9, []), rng_seed=0)
@@ -106,6 +118,11 @@ def test_dv_attack_refuses_distances_beyond_exact_float64(monkeypatch):
     g = Graph(170000, [], [])
     with pytest.raises(ValueError, match="exact integer range"):
         dv_attack(g, g, AttackConfig(seed_fraction=0.99))
+
+
+def test_dv_attack_refuses_graphs_of_different_sizes(two_k4):
+    with pytest.raises(ValueError, match="graphs must have the same node count"):
+        dv_attack(two_k4, Graph.from_edges(9, []), AttackConfig())
 
 
 def test_random_guess_rate():
@@ -156,6 +173,21 @@ def test_run_experiment_raises_what_is_not_a_refusal(monkeypatch, two_k4, cores)
     with pytest.raises(KeyError, match="no such block"):
         run_experiment([Strategy("broken", broken)],
                        [Dataset("d", (two_k4,))], runs_per_pair=2, rng_seed=0)
+
+
+def test_a_metric_with_one_value_has_no_spread():
+    # run 0 returns the input and run 1 an edgeless graph, whose degree
+    # correlation is undefined: that metric keeps one value
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (1, 2), (4, 5)])
+    first = seed_from(0, 0, 0, 0, 0, 0)
+
+    def make(graph, seed, input_score):
+        return graph if seed == first else Graph.from_edges(graph.n, [])
+
+    rows = run_experiment([Strategy("half", make)], [Dataset("d", (g,))], 2, rng_seed=0)
+    csv = experiment_csv(rows).splitlines()
+    assert "half,d,degree_correlation,1.0,NA,NA,1" in csv
+    assert "half,d,clustering_ratio,0.5,0.7071067811865476,1.288,2" in csv
 
 
 def test_run_experiment_deterministic(two_k4):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,3 +258,23 @@ def test_entropy_of_pipeline_non_increasing_in_alpha():
     # decreasing in the rank-correlation sense: Spearman rho strictly negative
     rho = np.corrcoef(grid, ranks_by_alpha)[0, 1]
     assert rho < -0.9
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: normalize(np.zeros((1, 1)), "scale"),
+     "scale rule needs at least one off-diagonal entry"),
+    (lambda: sample_bernoulli(np.array([[0.0, 1.5], [1.5, 0.0]]), 0),
+     "probability matrix entries must lie in [0, 1]"),
+    (lambda: normalized_entropy(np.array([[0.0, -0.5], [-0.5, 0.0]])),
+     "probability matrix entries must lie in [0, 1]"),
+])
+def test_degenerate_matrices_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_entropy_without_dyads(n):
+    report = normalized_entropy(np.zeros((n, n)))
+    assert (report.raw_bits, report.density, report.normalized) == (0.0, 0.0, 0.0)
+    assert math.isnan(report.normalizer)

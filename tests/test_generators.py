@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,14 @@ def test_lancichinetti_validation():
         with pytest.raises(ValueError, match="must be finite and >= 1"):
             LancichinettiConfig(n=50, mean_degree=mean_degree, mean_community_size=mean_size,
                                 mixing=0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PlantedPartitionConfig(n=0, communities=1, p_in=0.5, p_out=0.1),
+     "need n >= 1 and communities >= 1"),
+    (lambda: barabasi_albert(3, 2.0), "need n > 3 for mean_attach=2.0"),
+    (lambda: barabasi_albert(4, 2.5), "need n > 4 for mean_attach=2.5"),
+])
+def test_generators_refuse_too_few_nodes(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

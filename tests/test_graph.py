@@ -223,3 +223,30 @@ def test_graph_refuses_edge_keys_beyond_int64():
 def test_graph_refuses_unsorted_or_repeated_edges(rows, cols, edge):
     with pytest.raises(ValueError, match=re.escape(f"edge {edge} out of sorted order or repeated")):
         Graph(3, rows, cols)
+
+
+_G2 = Graph.from_edges(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(3, [[0]], [[1]]), "edge endpoint arrays must be 1-D, got shape (1, 1)"),
+    (lambda: Graph(-1, [], []), "node count must be non-negative, got -1"),
+    (lambda: Graph(3, [0, 1], [2]), "2 row endpoints for 1 column endpoints"),
+    (lambda: Graph(2, [0], [1], {"x": ("a",)}), "attribute 'x' has 1 values for 2 nodes"),
+    (lambda: Graph.from_edges(3, [(0, 1, 2)]), "edges must be (i, j) pairs, got shape (1, 3)"),
+    (lambda: load_edge_list("#nodes x\n0 1\n"), "line 1: malformed #nodes directive"),
+    (lambda: load_edge_list("0 1\n-1 2\n"), "line 2: negative node id"),
+    (lambda: load_attributes("", _G2), "attribute CSV is empty"),
+    (lambda: load_attributes("node\n0\n", _G2), "attribute CSV declares no attribute columns"),
+    (lambda: load_attributes("node,x\n0,a,b\n", _G2), "row 2: expected 2 fields, got 3"),
+    (lambda: load_attributes("node,x\nzero,a\n", _G2), "row 2: non-integer node id 'zero'"),
+])
+def test_graph_and_readers_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_both_readers_skip_blank_lines():
+    assert load_edge_list("\n0 1\n\n   \n1 2\n") == load_edge_list("0 1\n1 2")
+    g = load_attributes("node,x\n\n0,a\n , \n1,b\n", _G2)
+    assert g.attributes == {"x": ("a", "b")}

@@ -174,3 +174,15 @@ def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(31)
     m = _random_symmetric(rng, 9)
     assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), abs=1e-10)
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(3), np.zeros((1, 2, 2))])
+def test_non_square_input_is_refused(matrix):
+    with pytest.raises(ValueError, match="must be a square matrix, got shape"):
+        eigendecompose(matrix)
+    with pytest.raises(ValueError, match="must be a square matrix, got shape"):
+        spectral_norm(matrix)
+
+
+def test_spectral_norm_of_an_empty_matrix_is_zero():
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
