@@ -87,6 +87,20 @@ def _write_output(directory: str, name: str, text: str) -> None:
     print(target)
 
 
+def _seed(text) -> int:
+    """The --seed type: a non-negative integer, as numpy's seeding takes.
+
+    Its refusal is an ArgumentTypeError, so argparse's message names the
+    flag, before any input is read."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_alphas(spec: str) -> list[float]:
     """Either a single decimal or a start:stop:step grid (stop inclusive)."""
     if ":" in spec:
@@ -222,9 +236,10 @@ def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
 
     The keys are the dests of the bench flags, all but --help and --config.
     Each value is checked as argparse checks its flag: it must be of the
-    flag's type (a float flag also takes a JSON integer) and among the flag's
-    choices; a null leaves a flag that defaults to unset unset. Config values
-    take precedence over flags. The file must hold one object.
+    flag's type (a float flag also takes a JSON integer), among the flag's
+    choices, and for the seed not negative; a null leaves a flag that
+    defaults to unset unset. Config values take precedence over flags. The
+    file must hold one object.
     """
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
@@ -236,7 +251,7 @@ def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         action = actions[key]
-        kind = action.type or str
+        kind = int if action.type is _seed else action.type or str
         accepted = (int, float) if kind is float else kind
         if value is None and action.default is None:
             pass
@@ -245,6 +260,8 @@ def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
         elif action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r} must be one of "
                              f"{', '.join(map(repr, action.choices))}, got {value!r}")
+        elif action.type is _seed and value < 0:
+            raise ValueError(f"config key {key!r} must be a non-negative integer, got {value}")
         setattr(args, key, value)
 
 
@@ -279,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="input edge-list file")
         p.add_argument("--output-dir", default=".", help="directory for output files")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="master RNG seed (>= 0)")
 
     def forge_options(p):
         p.add_argument("--rule", choices=NORMALIZATION_RULES, default="truncate")

@@ -5,6 +5,11 @@ probabilities, Bernoulli sampling, and the distribution's normalized entropy.
 rule, logistic_k)` keeps the ceil(alpha * n) leading eigenterms, transforms
 back and squashes into [0, 1], giving a `ForgedDistribution` that samples and
 scores itself. alpha = 1 with the truncate rule reproduces the input graph.
+
+`forge` serves one alpha, so it computes only the min(r, n - r) eigenpairs on
+the smaller side of the rank cut r = ceil(alpha * n), and none at alpha 0 or
+1. Its probabilities agree with `fit(...).at(...)`'s to rounding (within
+6e-14 at n = 2000), not bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +24,16 @@ from .spectral import (
     SYMMETRY_ATOL,
     EigenDecomposition,
     _eigendecompose,
+    _eigenterm_sum,
     _in_place_eigensolver,
+    _modulus_order,
+    _partial_eigensolver,
+    _require_edges,
     _require_symmetric,
     _shift_by_null_model,
     low_rank_approx,
     modularity_matrix,
+    retained_rank,
 )
 
 NORMALIZATION_RULES = ("logistic", "truncate", "scale")
@@ -31,13 +41,16 @@ TRANSFORMATIONS = ("modularity", "adjacency")
 
 DEFAULT_LOGISTIC_K = 6.0
 
-# n x n float64 arrays at the peak of fit plus one `at` and its sample: M
-# and dsyevd's 2n^2 workspace, or at alpha = 1 the eigenvectors, their scaled
-# copy and the product. Peak RSS of `forge` in fresh processes grew by 36.4
-# and 110.2 MB at n = 1000 and 2000 (alpha 1, every rule), 3.08 n^2 between
-# them plus ~12 MB of BLAS buffers, and 3.11-3.26 n^2 at n = 1000-2000 once
-# BLAS had run. With np.linalg.eigh, which holds the input, its own copy,
-# the workspace and the output at once, the count is 5 (RSS 5.07-5.2 n^2).
+# n x n float64 arrays at the peak of fit plus one `at` and its sample, and
+# of a forge. fit: M and dsyevd's 2n^2 workspace, or at alpha = 1 the
+# eigenvectors, their scaled copy and the product. forge at 0 < r < n: the
+# reduced M, the tridiagonal eigenvectors and dstedc's n^2 workspace; at
+# r = 0 or n, one array. Peak RSS growth of `forge` in fresh processes, once
+# a forge at alpha 0.5 had started BLAS (2 threads), was 3.15 n^2 at
+# n = 1000 and 2000 for alpha 0.1, 0.5 and 0.9 and 1.00-1.03 n^2 at alpha 0
+# and 1; `fit(...).at(...)` read 2.41 and 3.12 n^2 there. With
+# np.linalg.eigh, which holds the input, its own copy, the workspace and
+# the output at once, the count is 5 (RSS 5.07-5.2 n^2).
 _FORGE_DENSE_ARRAYS = 3.5
 _FORGE_DENSE_ARRAYS_EIGH = 5
 
@@ -64,6 +77,8 @@ class ForgeConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         _check_rule(self.rule, self.logistic_k)
         _check_transformation(self.transformation)
 
@@ -232,7 +247,8 @@ def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
 
 
 def forge_dense_bytes(n: int) -> int:
-    """Estimated peak bytes of dense arrays of `fit` plus one `at` at n nodes."""
+    """Estimated peak bytes of dense arrays of `fit` plus one `at`, or of
+    `forge`, at n nodes."""
     arrays = _FORGE_DENSE_ARRAYS if _in_place_eigensolver() else _FORGE_DENSE_ARRAYS_EIGH
     return math.ceil(8 * n * n * arrays)
 
@@ -276,23 +292,73 @@ def fit(graph: Graph, transformation: str = "modularity") -> SpectralModel:
 def edge_probabilities(graph: Graph, config: ForgeConfig) -> np.ndarray:
     """The probability matrix the pipeline samples from, without sampling.
 
-    `forge(graph, config)` is distributed Bernoulli(edge_probabilities(graph,
-    config)) dyad by dyad. A one-call form of `fit(...).at(...)`, kept for
-    the benchmark trace, which pins it.
+    `forge(graph, config)` samples these probabilities, to rounding (it
+    solves only the eigenpairs its one alpha needs), dyad by dyad. A one-call
+    form of `fit(...).at(...)`, kept for the benchmark trace, which pins it.
     """
     return fit(graph, config.transformation).at(
         config.alpha, config.rule, config.logistic_k).probabilities
+
+
+def _one_alpha_probabilities(graph: Graph, config: ForgeConfig, solve) -> np.ndarray:
+    """The probabilities of `fit(graph, t).at(alpha, rule, logistic_k)`, to
+    rounding, from the min(r, n - r) eigenpairs on the smaller side of the
+    rank cut.
+
+    M_r = sum_{i <= r} lambda_i v_i v_i^T is also M - sum_{i > r} lambda_i v_i v_i^T,
+    and (M - D) + k k^T / |K| = A - D under both transformations. So r <= n - r
+    keeps the r leading pairs and adds the null model back, and r > n - r
+    subtracts the n - r trailing pairs from A; r = 0 and r = n solve nothing.
+    `solve` is `_partial_eigensolver()`, which picks the pairs on the
+    eigenvalues dsyevd would give, so ties at the cut fall as in `fit`.
+    """
+    require_dense_budget(graph.n, forge_dense_bytes(graph.n), "forging a graph")
+    n, modularity = graph.n, config.transformation == "modularity"
+    degrees = degree_vector(graph)
+    if modularity:
+        _require_edges(degrees)
+    r = retained_rank(config.alpha, n)
+    keep = r <= n - r
+    if r == 0:
+        p = np.zeros((n, n))
+    elif r == n:
+        p = graph.adjacency()
+    else:
+        m = modularity_matrix(graph) if modularity else graph.adjacency()
+        side = slice(None, r) if keep else slice(r, None)
+        # M is exactly symmetric, so its C buffer is also its Fortran layout
+        values, vectors = solve(m.T, lambda w: _modulus_order(w)[side])
+        del m  # the reduced matrix, no longer needed once Q is applied
+        p = _eigenterm_sum(values, vectors)
+        del vectors
+        if not keep:
+            # A - V_d diag(lambda_d) V_d^T; -x + 1 rounds as 1 - x does
+            np.negative(p, out=p)
+            p[graph.rows, graph.cols] += 1.0
+            p[graph.cols, graph.rows] += 1.0
+    if keep and modularity:
+        _shift_by_null_model(p, degrees.astype(float), np.add)
+    return _normalize(p, config.rule, config.logistic_k)
 
 
 def forge(graph: Graph, config: ForgeConfig) -> Graph:
     """Generate one random graph preserving the input's filtered structure.
 
     Output has the same node count and inherits the input's node attributes
-    by index. Same config (including seed) yields the same graph.
+    by index. Same config (including seed) yields the same graph. The
+    probabilities are those of `fit(graph, t).at(alpha, rule, logistic_k)`
+    to rounding (within 6e-14 at n = 2000): one alpha needs only the
+    eigenpairs on the smaller side of the rank cut. Where numpy's LAPACK does
+    not export the routines for that, `forge` samples `fit(...).at(...)`
+    itself.
     """
-    # the model is not kept, so its eigenvectors are freed before sampling
-    dist = fit(graph, config.transformation).at(config.alpha, config.rule, config.logistic_k)
-    sampled = dist.sample(config.seed)
+    solve = _partial_eigensolver()
+    if solve is None:
+        p = fit(graph, config.transformation).at(
+            config.alpha, config.rule, config.logistic_k).probabilities
+    else:
+        p = _one_alpha_probabilities(graph, config, solve)
+    sampled = ForgedDistribution(p).sample(config.seed)
     if graph.attributes:
         sampled = sampled.with_attributes(graph.attributes)
     return sampled

@@ -9,7 +9,9 @@ The decomposition calls LAPACK's dsyevd, the routine `np.linalg.eigh` calls,
 directly on the matrix it is handed, so the pipeline's dense peak is the
 matrix plus dsyevd's 2n^2 workspace instead of numpy's four arrays. Where
 numpy's linalg module does not export that routine, `np.linalg.eigh` is used
-instead; both give the same bits.
+instead; both give the same bits. A caller that needs only some eigenpairs
+takes dsyevd's first two steps from the same library (dsytrd, dstedc) and
+back-transforms only those pairs (dormtr).
 """
 
 from __future__ import annotations
@@ -68,12 +70,15 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
+def _require_edges(degrees: np.ndarray) -> None:
+    if degrees.sum() == 0:
+        raise ValueError("graph has no edges: modularity matrix is undefined (|K| = 0)")
+
+
 def modularity_matrix(graph: Graph) -> np.ndarray:
     """A - k k^T / |K| for the graph; symmetric with zero row sums."""
     degrees = degree_vector(graph)
-    total = int(degrees.sum())
-    if total == 0:
-        raise ValueError("graph has no edges: modularity matrix is undefined (|K| = 0)")
+    _require_edges(degrees)
     m = graph.adjacency()
     _shift_by_null_model(m, degrees.astype(float), np.subtract)
     return m
@@ -91,6 +96,28 @@ def _shift_by_null_model(m: np.ndarray, k: np.ndarray, op) -> None:
         op(rows, np.outer(k[start:start + step], k) / total, out=rows)
 
 
+def _numpy_lapack(*names: str) -> list | None:
+    """The named LAPACK routines of the library numpy's linalg module links
+    (its ILP64 build, with 64-bit integers), or None when the module does not
+    export one of them. Resolved on first use, so importing the package
+    loads nothing."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return [getattr(lib, f"scipy_{name}_64_") for name in names]
+    except (OSError, AttributeError):
+        return None
+
+
+def _require_lapack_layout(a: np.ndarray, routine: str) -> None:
+    n = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (n, n) or not (
+            a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError(f"{routine} needs a writeable Fortran-ordered square float64 matrix")
+
+
 @functools.cache
 def _in_place_eigensolver():
     """numpy's own LAPACK dsyevd, wrapped to overwrite a Fortran-ordered
@@ -98,16 +125,14 @@ def _in_place_eigensolver():
     eigenvalues; None when numpy's linalg module does not export it.
 
     The call mirrors `np.linalg.eigh`'s: jobz V, uplo L, a workspace query
-    first, and LinAlgError when LAPACK reports a failure. Resolved on first
-    use, so importing the package loads nothing.
+    first, and LinAlgError when LAPACK reports a failure.
     """
     import ctypes
 
-    from numpy.linalg import _umath_linalg
-    try:
-        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
-    except (OSError, AttributeError):
+    routines = _numpy_lapack("dsyevd")
+    if routines is None:
         return None
+    dsyevd, = routines
     integer, real = ctypes.c_int64, ctypes.c_double
     int_p, real_p = ctypes.POINTER(integer), ctypes.POINTER(real)
     dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, real_p, int_p, real_p,
@@ -115,10 +140,8 @@ def _in_place_eigensolver():
     dsyevd.restype = None
 
     def solve(a: np.ndarray) -> np.ndarray:
+        _require_lapack_layout(a, "dsyevd")
         n = a.shape[0]
-        if a.dtype != np.float64 or a.shape != (n, n) or not (
-                a.flags.f_contiguous and a.flags.writeable):
-            raise ValueError("dsyevd needs a writeable Fortran-ordered square float64 matrix")
         values = np.empty(n)
         if n == 0:  # LAPACK rejects LDA = 0
             return values
@@ -141,6 +164,90 @@ def _in_place_eigensolver():
     return solve
 
 
+@functools.cache
+def _partial_eigensolver():
+    """numpy's own LAPACK dsytrd, dstedc and dormtr, wrapped to overwrite a
+    Fortran-ordered symmetric matrix of order n >= 1 and return only the
+    eigenpairs a selection picks; None when numpy's linalg module does not
+    export the three.
+
+    `solve(a, pick)` first takes dsyevd's two steps: dsytrd (uplo L) reduces
+    a in place to a tridiagonal T = Q^T a Q, and dstedc (compz I) finds every
+    eigenpair of T, so the ascending eigenvalues w are dsyevd's bits. `pick(w)`
+    gives the indices of the wanted pairs, and dormtr applies Q to those
+    eigenvectors of T only, where dsyevd applies it to all n. It returns
+    (w[picked], the n x k Fortran-ordered eigenvectors). The vectors agree
+    with dsyevd's to rounding, not bit for bit, and their signs are not
+    fixed; V diag(w) V^T does not depend on the signs.
+    """
+    import ctypes
+
+    routines = _numpy_lapack("dsytrd", "dstedc", "dormtr")
+    if routines is None:
+        return None
+    dsytrd, dstedc, dormtr = routines
+    char, integer, real = ctypes.c_char_p, ctypes.c_int64, ctypes.c_double
+    int_p, real_p = ctypes.POINTER(integer), ctypes.POINTER(real)
+    dsytrd.argtypes = [char, int_p, real_p, int_p, real_p, real_p, real_p, real_p, int_p, int_p]
+    dstedc.argtypes = [char, int_p, real_p, real_p, real_p, int_p, real_p, int_p, int_p, int_p,
+                       int_p]
+    dormtr.argtypes = [char, char, char, int_p, int_p, real_p, int_p, real_p, real_p, int_p,
+                       real_p, int_p, int_p]
+    for routine in routines:
+        routine.restype = None
+
+    def ptr(x: np.ndarray):
+        return x.ctypes.data_as(real_p)
+
+    def solve(a: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+        _require_lapack_layout(a, "dsytrd")
+        n = a.shape[0]
+        size, info, query, iquery = integer(n), integer(0), real(), integer()
+        values, off, tau = np.empty(n), np.empty(max(1, n - 1)), np.empty(max(1, n - 1))
+
+        def reduce(work, lwork):
+            dsytrd(b"L", size, ptr(a), size, ptr(values), ptr(off), ptr(tau), work,
+                   integer(lwork), info)
+
+        reduce(query, -1)
+        work = np.empty(int(query.value))
+        reduce(ptr(work), work.size)
+        z = np.empty((n, n), order="F")
+
+        def tridiagonal(work, lwork, iwork, liwork):
+            dstedc(b"I", size, ptr(values), ptr(off), ptr(z), size, work, integer(lwork),
+                   iwork, integer(liwork), info)
+
+        tridiagonal(query, -1, iquery, -1)
+        work = np.empty(int(query.value))
+        iwork = np.empty(iquery.value, dtype=np.int64)
+        tridiagonal(ptr(work), work.size, iwork.ctypes.data_as(int_p), iwork.size)
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        del work, iwork  # before the picked columns are copied out
+        picked = pick(values)
+        vectors = np.asfortranarray(z[:, picked])
+        del z
+        columns = integer(vectors.shape[1])
+
+        def apply_q(work, lwork):
+            dormtr(b"L", b"L", b"N", size, columns, ptr(a), size, ptr(tau), ptr(vectors), size,
+                   work, integer(lwork), info)
+
+        apply_q(query, -1)
+        work = np.empty(int(query.value))
+        apply_q(ptr(work), work.size)
+        return values[picked], vectors
+
+    return solve
+
+
+def _modulus_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort ascending eigenvalues by (|lambda| desc, value desc,
+    index), the order of `EigenDecomposition`."""
+    return np.lexsort((np.arange(values.shape[0]), -values, -np.abs(values)))
+
+
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition with modulus-descending ordering.
 
@@ -160,8 +267,7 @@ def _eigendecompose(a: np.ndarray) -> EigenDecomposition:
     else:
         values, vectors = solve(a), a
     n = values.shape[0]
-    # the solver returns ascending values; re-sort by (|lambda| desc, value desc, index)
-    order = np.lexsort((np.arange(n), -values, -np.abs(values)))
+    order = _modulus_order(values)  # the solver returns ascending values
     if n:  # argmax refuses the empty axis of a 0 x 0 matrix
         # flip each vector whose largest-magnitude entry is negative; x * 1.0
         # is x and x * -1.0 is -x exactly, so this multiplies in place
@@ -179,10 +285,14 @@ def low_rank_approx(eig: EigenDecomposition, alpha: float) -> np.ndarray:
     r = retained_rank(alpha, eig.order)
     if r == 0:
         return np.zeros((eig.order, eig.order))
-    v = eig.eigenvectors[:, :r]
-    approx = (v * eig.eigenvalues[:r]) @ v.T
-    _symmetrize(approx)
-    return approx
+    return _eigenterm_sum(eig.eigenvalues[:r], eig.eigenvectors[:, :r])
+
+
+def _eigenterm_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V diag(values) V^T, made exactly symmetric."""
+    product = (vectors * values) @ vectors.T
+    _symmetrize(product)
+    return product
 
 
 def _symmetrize(m: np.ndarray) -> None:

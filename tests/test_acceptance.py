@@ -338,8 +338,10 @@ def test_c09_block_model_fidelity():
 def test_c10_privacy_utility_tradeoff():
     g, _ = planted_partition(PlantedPartitionConfig(
         n=500, communities=5, p_in=0.25, p_out=0.01, seed=1010))
-    # forge(g, cfg) is fit(g).at(alpha).sample(seed) for an input without
-    # attributes, so one fit draws the same graphs as 30 forge calls
+    # forge(g, cfg) samples fit(g).at(alpha)'s probabilities to rounding (it
+    # solves only the eigenpairs one alpha needs), so one fit draws the
+    # graphs of 30 forge calls, but for a draw within 1e-13 of its dyad's
+    # probability
     model = fit(g)
     rates: dict[float, list[float]] = {}
     ratios: dict[float, list[float]] = {}

@@ -18,6 +18,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +118,18 @@ def test_every_command_exits_0_or_refuses_with_an_error(argv, files):
     lines = err.getvalue().splitlines()
     assert rc == 0 or rc == 2 and lines and (
         lines[0].startswith("error:") or _USAGE_ERROR.match(lines[-1])), (argv, rc, lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--input=missing.el", "--alpha=0.5"],
+    ["eval", "--input=missing.el", "--generated=missing.el"],
+    ["sweep", "--input=missing.el", "--alphas=0.5"],
+    ["attack", "--input=missing.el", "--generated=missing.el"],
+    ["bench", "--config=missing.json"],
+])
+def test_a_negative_seed_is_refused_before_any_input_is_read(argv, capsys):
+    # the input files do not exist: reading any of them would fail otherwise
+    assert dispatch(argv + ["--seed=-1"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == (f"graphforge {argv[0]}: error: argument --seed: "
+                         "must be a non-negative integer, got '-1'")

@@ -7,6 +7,7 @@ import pytest
 
 from graphforge.forge import (
     ForgeConfig,
+    ForgedDistribution,
     back_transform,
     edge_probabilities,
     fit,
@@ -15,10 +16,17 @@ from graphforge.forge import (
     normalized_entropy,
     sample_bernoulli,
 )
+from graphforge.generators import PlantedPartitionConfig, planted_partition
 from graphforge.graph import Graph, degree_vector
-from graphforge.spectral import eigendecompose, low_rank_approx, modularity_matrix
+from graphforge.spectral import (
+    _modulus_order,
+    eigendecompose,
+    low_rank_approx,
+    modularity_matrix,
+    retained_rank,
+)
 
-from conftest import complete_graph
+from conftest import complete_graph, disjoint_cliques
 
 # the package's `forge` function hides the module of that name
 forge_mod = importlib.import_module("graphforge.forge")
@@ -226,6 +234,8 @@ def test_forge_config_validation():
         ForgeConfig(alpha=0.5, rule="logistic", logistic_k=12.0)
     with pytest.raises(ValueError):
         ForgeConfig(alpha=0.5, transformation="laplacian")
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        ForgeConfig(alpha=0.5, seed=-1)
 
 
 @pytest.mark.parametrize("rule, k, message", [
@@ -278,3 +288,121 @@ def test_entropy_without_dyads(n):
     report = normalized_entropy(np.zeros((n, n)))
     assert (report.raw_bits, report.density, report.normalized) == (0.0, 0.0, 0.0)
     assert math.isnan(report.normalizer)
+
+
+# --------------------------------------------- the one-alpha forge against fit
+
+ALPHAS = (0.0, 0.1, 0.5, 0.9, 1.0)
+
+
+def _planted_500():
+    return planted_partition(PlantedPartitionConfig(
+        n=500, communities=5, p_in=0.1, p_out=0.01, seed=3))[0]
+
+
+def _forged(monkeypatch, graph, config):
+    """forge's output and the probability matrix it sampled."""
+    seen = []
+
+    def record(p):
+        seen.append(p)
+        return ForgedDistribution(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forge_mod, "ForgedDistribution", record)
+        out = forge(graph, config)
+    return out, seen[0]
+
+
+needs_partial_solver = pytest.mark.skipif(
+    forge_mod._partial_eigensolver() is None,
+    reason="this numpy does not export LAPACK dsytrd, dstedc and dormtr")
+
+
+@needs_partial_solver
+@pytest.mark.parametrize("transformation", ["modularity", "adjacency"])
+def test_one_alpha_forge_agrees_with_fit(monkeypatch, transformation):
+    g = _planted_500()
+    model = fit(g, transformation)
+    for rule in ("truncate", "logistic", "scale"):
+        for alpha in ALPHAS:
+            cfg = ForgeConfig(alpha=alpha, rule=rule, transformation=transformation, seed=7)
+            if (rule, alpha, transformation) == ("scale", 0.0, "adjacency"):
+                # M_0 = 0 with no null model: every entry is equal
+                for build in (lambda: forge(g, cfg), lambda: model.at(alpha, rule)):
+                    with pytest.raises(ValueError, match="degenerate"):
+                        build()
+                continue
+            dist = model.at(alpha, rule)
+            out, p = _forged(monkeypatch, g, cfg)
+            assert np.array_equal(p, p.T) and not np.diag(p).any()
+            np.testing.assert_allclose(p, dist.probabilities, rtol=0, atol=1e-13,
+                                       err_msg=f"{rule} at alpha {alpha}")
+            assert out == dist.sample(cfg.seed), (rule, alpha)
+
+
+@needs_partial_solver
+@pytest.mark.parametrize("transformation", ["modularity", "adjacency"])
+@pytest.mark.parametrize("rule", ["truncate", "logistic", "scale"])
+def test_one_alpha_forge_is_exact_where_it_solves_nothing(monkeypatch, transformation, rule):
+    g = _planted_500()
+
+    def no_solve(*args):
+        raise AssertionError("an eigensolve at alpha 0 or 1")
+
+    monkeypatch.setattr(forge_mod, "_partial_eigensolver", lambda: no_solve)
+    _, p = _forged(monkeypatch, g, ForgeConfig(alpha=1.0, rule=rule,
+                                               transformation=transformation))
+    assert np.array_equal(p, normalize(g.adjacency(), rule))
+    if rule == "truncate":
+        assert np.array_equal(p, g.adjacency())
+    if transformation == "modularity":
+        _, p = _forged(monkeypatch, g, ForgeConfig(alpha=0.0, rule=rule))
+        k = degree_vector(g).astype(float)
+        assert np.array_equal(p, normalize(np.outer(k, k) / k.sum(), rule))
+
+
+@needs_partial_solver
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75])
+def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, alpha):
+    # four disjoint K5: M's eigenvalues are 4 (3 times), -1 (16) and 0, so
+    # r = 2, 10 and 15 each cut through a tie in modulus
+    g = disjoint_cliques(5, 5, 5, 5)
+    model = fit(g)
+    r = retained_rank(alpha, g.n)
+    assert abs(model.eig.eigenvalues[r - 1]) - abs(model.eig.eigenvalues[r]) < 1e-12
+    # dsyevd's eigenvalues, which `fit` orders, bit for bit
+    order = _modulus_order(np.linalg.eigh(modularity_matrix(g))[0])
+    solve = forge_mod._partial_eigensolver()
+    picked = []
+
+    def recording_solve(a, pick):
+        def record(w):
+            picked.append(pick(w))
+            return picked[-1]
+        return solve(a, record)
+
+    monkeypatch.setattr(forge_mod, "_partial_eigensolver", lambda: recording_solve)
+    _, p = _forged(monkeypatch, g, ForgeConfig(alpha=alpha))
+    expected = order[:r] if r <= g.n - r else order[r:]
+    assert len(picked) == 1 and np.array_equal(picked[0], expected)
+    np.testing.assert_allclose(p, model.at(alpha).probabilities, rtol=0, atol=1e-13)
+
+
+@needs_partial_solver
+def test_complete_graph_at_alpha_one_is_degenerate_under_scale():
+    # P is A exactly, all ones off the diagonal; fit's rank-n product carries
+    # rounding noise that gives the scale rule a range
+    with pytest.raises(ValueError, match="scale rule degenerate"):
+        forge(complete_graph(8), ForgeConfig(alpha=1.0, rule="scale"))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_forge_without_the_partial_solver_samples_fit(monkeypatch, alpha):
+    g = _planted_500()
+    cfg = ForgeConfig(alpha=alpha, rule="logistic", seed=5)
+    dist = fit(g).at(alpha, "logistic")
+    monkeypatch.setattr(forge_mod, "_partial_eigensolver", lambda: None)
+    out, p = _forged(monkeypatch, g, cfg)
+    assert np.array_equal(p, dist.probabilities)
+    assert out == dist.sample(cfg.seed)
