@@ -51,6 +51,13 @@ def seed_from(*parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _check_rng_seed(rng_seed: int) -> None:
+    """Refuse a negative seed on entry, before any work: `seed_from` would
+    refuse it later, with a message that names no argument."""
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed}")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Paired metrics between an input graph and one generated output."""
@@ -79,6 +86,7 @@ Score = tuple[Partition, float]
 def score_input(graph: Graph, rng_seed: int) -> Score:
     """(partition, Q*) of a graph under the Louvain seed that
     compare(graph, output, rng_seed) gives both of its graphs."""
+    _check_rng_seed(rng_seed)
     return louvain_maximize(graph, seed_from(rng_seed, 0))
 
 
@@ -107,6 +115,7 @@ def compare(input_graph: Graph, output_graph: Graph, rng_seed: int,
     without maximizing the input again. The output inherits the input's
     attributes by index for the attribute rows.
     """
+    _check_rng_seed(rng_seed)
     if input_graph.n != output_graph.n:
         raise ValueError("input and output graphs must have the same node count")
     part_in, q_in = input_score or score_input(input_graph, rng_seed)
@@ -231,6 +240,7 @@ def run_experiment(strategies: Sequence[Strategy], datasets: Sequence[Dataset],
     from aggregates and surface as a `failures` row; any other exception is
     a programming error and propagates.
     """
+    _check_rng_seed(rng_seed)
     if runs_per_pair < 2:
         raise ValueError("runs_per_pair must be >= 2")
 
@@ -383,6 +393,7 @@ def alpha_sweep(graph: Graph, alphas: Sequence[float], runs: int, rng_seed: int,
     worker that is free after every alpha has started. Every knob is
     checked before the fit.
     """
+    _check_rng_seed(rng_seed)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     configs = [ForgeConfig(alpha=alpha, rule=rule, logistic_k=logistic_k,

@@ -25,9 +25,8 @@ from .spectral import (
     EigenDecomposition,
     _eigendecompose,
     _eigenterm_sum,
-    _in_place_eigensolver,
+    _lapack_eigensolver,
     _modulus_order,
-    _partial_eigensolver,
     _require_edges,
     _require_symmetric,
     _shift_by_null_model,
@@ -42,13 +41,13 @@ TRANSFORMATIONS = ("modularity", "adjacency")
 DEFAULT_LOGISTIC_K = 6.0
 
 # n x n float64 arrays at the peak of fit plus one `at` and its sample, and
-# of a forge. fit: M and dsyevd's 2n^2 workspace, or at alpha = 1 the
-# eigenvectors, their scaled copy and the product. forge at 0 < r < n: the
-# reduced M, the tridiagonal eigenvectors and dstedc's n^2 workspace; at
-# r = 0 or n, one array. Peak RSS growth of `forge` in fresh processes, once
-# a forge at alpha 0.5 had started BLAS (2 threads), was 3.15 n^2 at
-# n = 1000 and 2000 for alpha 0.1, 0.5 and 0.9 and 1.00-1.03 n^2 at alpha 0
-# and 1; `fit(...).at(...)` read 2.41 and 3.12 n^2 there. With
+# of a forge. Both peak in the same LAPACK routines: the reduced M, the
+# tridiagonal eigenvectors and the n^2 workspace of dstedc (then dormtr);
+# fit at alpha = 1 also holds the eigenvectors, their scaled copy and the
+# product, and a forge at r = 0 or n one array. Peak RSS growth in fresh
+# processes, once a forge at alpha 0.5 had started BLAS (2 threads), was
+# 3.14-3.17 n^2 at n = 1000 and 2000 for `fit(...).at(0.1)` and for `forge`
+# at alpha 0.1 and 0.5, and 1.00-1.03 n^2 for `forge` at alpha 0 and 1. With
 # np.linalg.eigh, which holds the input, its own copy, the workspace and
 # the output at once, the count is 5 (RSS 5.07-5.2 n^2).
 _FORGE_DENSE_ARRAYS = 3.5
@@ -249,7 +248,7 @@ def normalized_entropy(prob_matrix: np.ndarray) -> EntropyReport:
 def forge_dense_bytes(n: int) -> int:
     """Estimated peak bytes of dense arrays of `fit` plus one `at`, or of
     `forge`, at n nodes."""
-    arrays = _FORGE_DENSE_ARRAYS if _in_place_eigensolver() else _FORGE_DENSE_ARRAYS_EIGH
+    arrays = _FORGE_DENSE_ARRAYS if _lapack_eigensolver() else _FORGE_DENSE_ARRAYS_EIGH
     return math.ceil(8 * n * n * arrays)
 
 
@@ -309,8 +308,8 @@ def _one_alpha_probabilities(graph: Graph, config: ForgeConfig, solve) -> np.nda
     and (M - D) + k k^T / |K| = A - D under both transformations. So r <= n - r
     keeps the r leading pairs and adds the null model back, and r > n - r
     subtracts the n - r trailing pairs from A; r = 0 and r = n solve nothing.
-    `solve` is `_partial_eigensolver()`, which picks the pairs on the
-    eigenvalues dsyevd would give, so ties at the cut fall as in `fit`.
+    `solve` is `_lapack_eigensolver()`, which picks the pairs on the
+    eigenvalues it gives `fit`, so ties at the cut fall as in `fit`.
     """
     require_dense_budget(graph.n, forge_dense_bytes(graph.n), "forging a graph")
     n, modularity = graph.n, config.transformation == "modularity"
@@ -352,7 +351,7 @@ def forge(graph: Graph, config: ForgeConfig) -> Graph:
     not export the routines for that, `forge` samples `fit(...).at(...)`
     itself.
     """
-    solve = _partial_eigensolver()
+    solve = _lapack_eigensolver()
     if solve is None:
         p = fit(graph, config.transformation).at(
             config.alpha, config.rule, config.logistic_k).probabilities

@@ -5,13 +5,14 @@ The low-rank filter keeps the ceil(alpha * n) largest-modulus eigenterms of a
 symmetric matrix; the spectral norm of what it drops is exactly the modulus of
 the first omitted eigenvalue, which gives a tunable error bound.
 
-The decomposition calls LAPACK's dsyevd, the routine `np.linalg.eigh` calls,
-directly on the matrix it is handed, so the pipeline's dense peak is the
-matrix plus dsyevd's 2n^2 workspace instead of numpy's four arrays. Where
-numpy's linalg module does not export that routine, `np.linalg.eigh` is used
-instead; both give the same bits. A caller that needs only some eigenpairs
-takes dsyevd's first two steps from the same library (dsytrd, dstedc) and
-back-transforms only those pairs (dormtr).
+The decomposition runs the steps of LAPACK's dsyevd, the routine
+`np.linalg.eigh` calls, from numpy's own library (dlansy and dlascl, dsytrd,
+dstedc, dormtr) directly on the matrix it is handed, so the pipeline's dense
+peak is the matrix plus dsyevd's 2n^2 workspace instead of numpy's four
+arrays. A full decomposition is dsyevd's, bit for bit; a caller that needs
+only some eigenpairs back-transforms only those, which agree with dsyevd's
+to rounding. Where numpy's linalg module does not export the routines,
+`np.linalg.eigh` is used instead; it gives the same bits.
 """
 
 from __future__ import annotations
@@ -111,83 +112,35 @@ def _numpy_lapack(*names: str) -> list | None:
         return None
 
 
-def _require_lapack_layout(a: np.ndarray, routine: str) -> None:
-    n = a.shape[0]
-    if a.dtype != np.float64 or a.shape != (n, n) or not (
-            a.flags.f_contiguous and a.flags.writeable):
-        raise ValueError(f"{routine} needs a writeable Fortran-ordered square float64 matrix")
-
-
 @functools.cache
-def _in_place_eigensolver():
-    """numpy's own LAPACK dsyevd, wrapped to overwrite a Fortran-ordered
-    symmetric matrix with its eigenvectors and return its ascending
-    eigenvalues; None when numpy's linalg module does not export it.
+def _lapack_eigensolver():
+    """numpy's own LAPACK dsyevd, taken step by step so that a caller may
+    back-transform only some eigenpairs: `solve(a, pick)` overwrites a
+    Fortran-ordered symmetric matrix and returns the picked eigenpairs;
+    None when numpy's linalg module does not export dlansy, dlascl, dsytrd,
+    dstedc and dormtr.
 
-    The call mirrors `np.linalg.eigh`'s: jobz V, uplo L, a workspace query
-    first, and LinAlgError when LAPACK reports a failure.
+    The steps are dsyevd's: dlansy and dlascl scale a whose largest entry
+    lies outside [2^-485, 2^485], dsytrd (uplo L) reduces a in place to a
+    tridiagonal T = Q^T a Q, and dstedc (compz I) finds every eigenpair of T,
+    so the ascending eigenvalues w are dsyevd's bits. `pick(w)` selects the
+    wanted pairs, and dormtr applies Q to those eigenvectors of T only, with
+    the workspace dsyevd leaves it (dormtr's block size depends on it). It
+    returns (w[picked], the n x k Fortran-ordered eigenvectors), and raises
+    LinAlgError when LAPACK reports a failure. With pick = slice(None) the
+    result is dsyevd's, bit for bit; with a subset the vectors agree with
+    dsyevd's to rounding, and their signs are not fixed.
     """
     import ctypes
 
-    routines = _numpy_lapack("dsyevd")
+    routines = _numpy_lapack("dlansy", "dlascl", "dsytrd", "dstedc", "dormtr")
     if routines is None:
         return None
-    dsyevd, = routines
-    integer, real = ctypes.c_int64, ctypes.c_double
-    int_p, real_p = ctypes.POINTER(integer), ctypes.POINTER(real)
-    dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, real_p, int_p, real_p,
-                       real_p, int_p, int_p, int_p, int_p]
-    dsyevd.restype = None
-
-    def solve(a: np.ndarray) -> np.ndarray:
-        _require_lapack_layout(a, "dsyevd")
-        n = a.shape[0]
-        values = np.empty(n)
-        if n == 0:  # LAPACK rejects LDA = 0
-            return values
-        size, info = integer(n), integer(0)
-
-        def call(work, lwork, iwork, liwork):
-            dsyevd(b"V", b"L", size, a.ctypes.data_as(real_p), size,
-                   values.ctypes.data_as(real_p), work, integer(lwork), iwork,
-                   integer(liwork), info)
-
-        work_size, iwork_size = real(), integer()
-        call(work_size, -1, iwork_size, -1)
-        work = np.empty(int(work_size.value))
-        iwork = np.empty(iwork_size.value, dtype=np.int64)
-        call(work.ctypes.data_as(real_p), work.size, iwork.ctypes.data_as(int_p), iwork.size)
-        if info.value:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return values
-
-    return solve
-
-
-@functools.cache
-def _partial_eigensolver():
-    """numpy's own LAPACK dsytrd, dstedc and dormtr, wrapped to overwrite a
-    Fortran-ordered symmetric matrix of order n >= 1 and return only the
-    eigenpairs a selection picks; None when numpy's linalg module does not
-    export the three.
-
-    `solve(a, pick)` first takes dsyevd's two steps: dsytrd (uplo L) reduces
-    a in place to a tridiagonal T = Q^T a Q, and dstedc (compz I) finds every
-    eigenpair of T, so the ascending eigenvalues w are dsyevd's bits. `pick(w)`
-    gives the indices of the wanted pairs, and dormtr applies Q to those
-    eigenvectors of T only, where dsyevd applies it to all n. It returns
-    (w[picked], the n x k Fortran-ordered eigenvectors). The vectors agree
-    with dsyevd's to rounding, not bit for bit, and their signs are not
-    fixed; V diag(w) V^T does not depend on the signs.
-    """
-    import ctypes
-
-    routines = _numpy_lapack("dsytrd", "dstedc", "dormtr")
-    if routines is None:
-        return None
-    dsytrd, dstedc, dormtr = routines
+    dlansy, dlascl, dsytrd, dstedc, dormtr = routines
     char, integer, real = ctypes.c_char_p, ctypes.c_int64, ctypes.c_double
     int_p, real_p = ctypes.POINTER(integer), ctypes.POINTER(real)
+    dlansy.argtypes = [char, char, int_p, real_p, int_p, real_p]
+    dlascl.argtypes = [char, int_p, int_p, real_p, real_p, int_p, int_p, real_p, int_p, int_p]
     dsytrd.argtypes = [char, int_p, real_p, int_p, real_p, real_p, real_p, real_p, int_p, int_p]
     dstedc.argtypes = [char, int_p, real_p, real_p, real_p, int_p, real_p, int_p, int_p, int_p,
                        int_p]
@@ -195,48 +148,52 @@ def _partial_eigensolver():
                        real_p, int_p, int_p]
     for routine in routines:
         routine.restype = None
+    dlansy.restype = real
+    # dsyevd's RMIN and RMAX: the square roots of safe minimum / precision
+    # and of its inverse
+    small, large = 2.0 ** -485, 2.0 ** 485
 
     def ptr(x: np.ndarray):
         return x.ctypes.data_as(real_p)
 
     def solve(a: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
-        _require_lapack_layout(a, "dsytrd")
         n = a.shape[0]
-        size, info, query, iquery = integer(n), integer(0), real(), integer()
-        values, off, tau = np.empty(n), np.empty(max(1, n - 1)), np.empty(max(1, n - 1))
-
-        def reduce(work, lwork):
-            dsytrd(b"L", size, ptr(a), size, ptr(values), ptr(off), ptr(tau), work,
-                   integer(lwork), info)
-
-        reduce(query, -1)
-        work = np.empty(int(query.value))
-        reduce(ptr(work), work.size)
+        if a.dtype != np.float64 or a.shape != (n, n) or not (
+                a.flags.f_contiguous and a.flags.writeable):
+            raise ValueError("LAPACK needs a writeable Fortran-ordered square float64 matrix")
+        values = np.empty(n)
+        if n == 0:  # LAPACK rejects LDA = 0
+            return values, a
+        size, info = integer(n), integer(0)
+        norm = dlansy(b"M", b"L", size, ptr(a), size, None)
+        sigma = 1.0  # order 1 is never scaled, as in dsyevd
+        if n > 1 and 0.0 < norm < small:
+            sigma = small / norm
+        elif n > 1 and norm > large:
+            sigma = large / norm  # 0 for an infinite entry
+        if sigma != 1.0:
+            dlascl(b"L", integer(0), integer(0), real(1.0), real(sigma), size, size, ptr(a),
+                   size, info)
+        # the workspace dsyevd hands dstedc and dormtr, which dsytrd uses too
+        work, iwork = np.empty(n * n + 4 * n + 1), np.empty(5 * n + 3, dtype=np.int64)
+        off, tau = np.empty(max(1, n - 1)), np.empty(max(1, n - 1))
+        dsytrd(b"L", size, ptr(a), size, ptr(values), ptr(off), ptr(tau), ptr(work),
+               integer(work.size), info)
         z = np.empty((n, n), order="F")
-
-        def tridiagonal(work, lwork, iwork, liwork):
-            dstedc(b"I", size, ptr(values), ptr(off), ptr(z), size, work, integer(lwork),
-                   iwork, integer(liwork), info)
-
-        tridiagonal(query, -1, iquery, -1)
-        work = np.empty(int(query.value))
-        iwork = np.empty(iquery.value, dtype=np.int64)
-        tridiagonal(ptr(work), work.size, iwork.ctypes.data_as(int_p), iwork.size)
+        dstedc(b"I", size, ptr(values), ptr(off), ptr(z), size, ptr(work), integer(work.size),
+               iwork.ctypes.data_as(int_p), integer(iwork.size), info)
         if info.value:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         del work, iwork  # before the picked columns are copied out
+        if sigma != 1.0:
+            with np.errstate(all="ignore"):  # dsyevd's DSCAL by 1 / sigma, which may be 1 / 0
+                values *= 1.0 / np.float64(sigma)
         picked = pick(values)
-        vectors = np.asfortranarray(z[:, picked])
+        vectors = np.asfortranarray(z[:, picked])  # z itself for slice(None)
         del z
-        columns = integer(vectors.shape[1])
-
-        def apply_q(work, lwork):
-            dormtr(b"L", b"L", b"N", size, columns, ptr(a), size, ptr(tau), ptr(vectors), size,
-                   work, integer(lwork), info)
-
-        apply_q(query, -1)
-        work = np.empty(int(query.value))
-        apply_q(ptr(work), work.size)
+        work = np.empty(n * n + 4 * n + 1)
+        dormtr(b"L", b"L", b"N", size, integer(vectors.shape[1]), ptr(a), size, ptr(tau),
+               ptr(vectors), size, ptr(work), integer(work.size), info)
         return values[picked], vectors
 
     return solve
@@ -260,12 +217,12 @@ def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
 
 def _eigendecompose(a: np.ndarray) -> EigenDecomposition:
     """eigendecompose of a Fortran-ordered float matrix that the caller built
-    symmetric and hands over: the in-place solver overwrites it."""
-    solve = _in_place_eigensolver()
+    symmetric and hands over: the LAPACK solver overwrites it."""
+    solve = _lapack_eigensolver()
     if solve is None:
         values, vectors = np.linalg.eigh(a)
     else:
-        values, vectors = solve(a), a
+        values, vectors = solve(a, lambda w: slice(None))
     n = values.shape[0]
     order = _modulus_order(values)  # the solver returns ascending values
     if n:  # argmax refuses the empty axis of a 0 x 0 matrix

@@ -161,6 +161,26 @@ def test_run_experiment_records_failures(two_k4):
     assert rows[0].mean == 2.0
 
 
+_NEGATIVE_SEED_CALLS = {
+    "alpha_sweep": lambda g: alpha_sweep(g, [0.5], runs=1, rng_seed=-1),
+    "run_experiment": lambda g: run_experiment([sgf_strategy(0.5)], [Dataset("d", (g,))], 2,
+                                               rng_seed=-1),
+    "compare": lambda g: compare(g, g, rng_seed=-1),
+    "score_input": lambda g: score_input(g, rng_seed=-1),
+}
+
+
+@pytest.mark.parametrize("entry", _NEGATIVE_SEED_CALLS)
+def test_entry_points_refuse_a_negative_seed_before_any_work(monkeypatch, serial, two_k4, entry):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the seed was checked")
+
+    monkeypatch.setattr(evaluate, "fit", no_work)
+    monkeypatch.setattr(evaluate, "louvain_maximize", no_work)
+    with pytest.raises(ValueError, match="rng_seed must be a non-negative integer, got -1"):
+        _NEGATIVE_SEED_CALLS[entry](two_k4)
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_run_experiment_raises_what_is_not_a_refusal(monkeypatch, two_k4, cores):
     # a KeyError is a programming error, not a design the strategy refuses,

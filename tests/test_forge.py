@@ -315,8 +315,8 @@ def _forged(monkeypatch, graph, config):
 
 
 needs_partial_solver = pytest.mark.skipif(
-    forge_mod._partial_eigensolver() is None,
-    reason="this numpy does not export LAPACK dsytrd, dstedc and dormtr")
+    forge_mod._lapack_eigensolver() is None,
+    reason="this numpy does not export LAPACK dlansy, dlascl, dsytrd, dstedc and dormtr")
 
 
 @needs_partial_solver
@@ -350,7 +350,7 @@ def test_one_alpha_forge_is_exact_where_it_solves_nothing(monkeypatch, transform
     def no_solve(*args):
         raise AssertionError("an eigensolve at alpha 0 or 1")
 
-    monkeypatch.setattr(forge_mod, "_partial_eigensolver", lambda: no_solve)
+    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: no_solve)
     _, p = _forged(monkeypatch, g, ForgeConfig(alpha=1.0, rule=rule,
                                                transformation=transformation))
     assert np.array_equal(p, normalize(g.adjacency(), rule))
@@ -373,7 +373,7 @@ def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, alpha):
     assert abs(model.eig.eigenvalues[r - 1]) - abs(model.eig.eigenvalues[r]) < 1e-12
     # dsyevd's eigenvalues, which `fit` orders, bit for bit
     order = _modulus_order(np.linalg.eigh(modularity_matrix(g))[0])
-    solve = forge_mod._partial_eigensolver()
+    solve = forge_mod._lapack_eigensolver()
     picked = []
 
     def recording_solve(a, pick):
@@ -382,7 +382,7 @@ def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, alpha):
             return picked[-1]
         return solve(a, record)
 
-    monkeypatch.setattr(forge_mod, "_partial_eigensolver", lambda: recording_solve)
+    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: recording_solve)
     _, p = _forged(monkeypatch, g, ForgeConfig(alpha=alpha))
     expected = order[:r] if r <= g.n - r else order[r:]
     assert len(picked) == 1 and np.array_equal(picked[0], expected)
@@ -402,7 +402,7 @@ def test_forge_without_the_partial_solver_samples_fit(monkeypatch, alpha):
     g = _planted_500()
     cfg = ForgeConfig(alpha=alpha, rule="logistic", seed=5)
     dist = fit(g).at(alpha, "logistic")
-    monkeypatch.setattr(forge_mod, "_partial_eigensolver", lambda: None)
+    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: None)
     out, p = _forged(monkeypatch, g, cfg)
     assert np.array_equal(p, dist.probabilities)
     assert out == dist.sample(cfg.seed)

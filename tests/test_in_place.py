@@ -1,8 +1,9 @@
 """The in-place forge against the copying one it replaced.
 
-The eigensolve runs LAPACK's dsyevd on the caller's buffer, the filter,
-back-transformation and normalization overwrite one array, the entropy fills
-one vector a chunk at a time, and the sampler draws in row panels. Each must
+The eigensolve runs LAPACK's dsyevd, step by step, on the caller's buffer,
+the filter, back-transformation and normalization overwrite one array, the
+entropy fills one vector a chunk at a time, and the sampler draws in row
+panels. Each must
 equal the former copying expression (kept in conftest.py) bit for bit, on
 both solver paths, and the dense peak must stay inside the memory guard.
 """
@@ -11,6 +12,7 @@ import importlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,34 +59,42 @@ def _near_symmetric():
     return m
 
 
-def _random_symmetric_96():
-    m = np.random.default_rng(11).normal(size=(96, 96))
+def _random_symmetric(n, seed):
+    m = np.random.default_rng(seed).normal(size=(n, n))
     return (m + m.T) / 2
 
 
 MATRICES = {
     "n0": lambda: np.zeros((0, 0)),
     "n1": lambda: np.array([[2.5]]),
+    # dsyevd returns order 1 before it scales, so the entry stays infinite
+    "n1_inf": lambda: np.array([[np.inf]]),
     "n2": lambda: np.array([[0.0, 1.0], [1.0, 0.0]]),
     # +-1, each twice: ties in modulus and in value
     "ties": lambda: np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
-    "random_96": _random_symmetric_96,
+    "random_96": lambda: _random_symmetric(96, 11),
+    # dsyevd hands dormtr a workspace that sets its block size to 14 here
+    "random_70": lambda: _random_symmetric(70, 12),
+    # norms outside [2^-485, 2^485], which dsyevd scales first
+    "random_70_x1e200": lambda: _random_symmetric(70, 12) * 1e200,
+    "random_70_x1e-160": lambda: _random_symmetric(70, 12) * 1e-160,
+    "random_70_x1e-310": lambda: _random_symmetric(70, 12) * 1e-310,
     "near_symmetric": _near_symmetric,
     "planted_500": lambda: former_modularity_matrix(_planted()),
 }
 
 
 def _without_in_place_solver(monkeypatch):
-    monkeypatch.setattr(spectral, "_in_place_eigensolver", lambda: None)
-    monkeypatch.setattr(forge_mod, "_in_place_eigensolver", lambda: None)
+    monkeypatch.setattr(spectral, "_lapack_eigensolver", lambda: None)
+    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: None)
 
 
 @pytest.fixture(params=["in_place", "eigh"])
 def solver(request, monkeypatch):
     if request.param == "eigh":
         _without_in_place_solver(monkeypatch)
-    elif spectral._in_place_eigensolver() is None:
-        pytest.skip("this numpy does not export LAPACK dsyevd")
+    elif spectral._lapack_eigensolver() is None:
+        pytest.skip("this numpy does not export LAPACK dsyevd's steps")
     return request.param
 
 
@@ -118,16 +128,19 @@ def test_infinite_input_matches_numpy(solver):
     try:
         values, vectors = former_eigendecompose(m.copy())
     except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             eigendecompose(m)
         return
-    eig = eigendecompose(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = eigendecompose(m)
     np.testing.assert_array_equal(eig.eigenvalues, values)
     np.testing.assert_array_equal(eig.eigenvectors, vectors)
 
 
 def test_forge_dense_bytes_follows_the_solver(monkeypatch):
-    if spectral._in_place_eigensolver() is not None:
+    if spectral._lapack_eigensolver() is not None:
         assert forge_dense_bytes(1000) == 8 * 1000 * 1000 * 3.5
     _without_in_place_solver(monkeypatch)
     assert forge_dense_bytes(1000) == 8 * 1000 * 1000 * 5
@@ -335,5 +348,5 @@ def test_sweep_cell_peak_stays_inside_its_cell_bytes(planted_1200, tmp_path, mon
 
 def test_the_solver_is_resolved_on_first_use():
     script = ("import graphforge.cli, graphforge.spectral as s; "
-              "print(s._in_place_eigensolver.cache_info().currsize)")
+              "print(s._lapack_eigensolver.cache_info().currsize)")
     assert _subprocess(script) == ["0"]
