@@ -97,28 +97,14 @@ def _shift_by_null_model(m: np.ndarray, k: np.ndarray, op) -> None:
         op(rows, np.outer(k[start:start + step], k) / total, out=rows)
 
 
-def _numpy_lapack(*names: str) -> list | None:
-    """The named LAPACK routines of the library numpy's linalg module links
-    (its ILP64 build, with 64-bit integers), or None when the module does not
-    export one of them. Resolved on first use, so importing the package
-    loads nothing."""
-    import ctypes
-
-    from numpy.linalg import _umath_linalg
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-        return [getattr(lib, f"scipy_{name}_64_") for name in names]
-    except (OSError, AttributeError):
-        return None
-
-
 @functools.cache
 def _lapack_eigensolver():
     """numpy's own LAPACK dsyevd, taken step by step so that a caller may
     back-transform only some eigenpairs: `solve(a, pick)` overwrites a
     Fortran-ordered symmetric matrix and returns the picked eigenpairs;
     None when numpy's linalg module does not export dlansy, dlascl, dsytrd,
-    dstedc and dormtr.
+    dstedc and dormtr. Resolved on first use, so importing the package loads
+    nothing.
 
     The steps are dsyevd's: dlansy and dlascl scale a whose largest entry
     lies outside [2^-485, 2^485], dsytrd (uplo L) reduces a in place to a
@@ -133,8 +119,12 @@ def _lapack_eigensolver():
     """
     import ctypes
 
-    routines = _numpy_lapack("dlansy", "dlascl", "dsytrd", "dstedc", "dormtr")
-    if routines is None:
+    from numpy.linalg import _umath_linalg
+    names = ("dlansy", "dlascl", "dsytrd", "dstedc", "dormtr")
+    try:  # the ILP64 build, with 64-bit integers
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = [getattr(lib, f"scipy_{name}_64_") for name in names]
+    except (OSError, AttributeError):
         return None
     dlansy, dlascl, dsytrd, dstedc, dormtr = routines
     char, integer, real = ctypes.c_char_p, ctypes.c_int64, ctypes.c_double
@@ -199,6 +189,38 @@ def _lapack_eigensolver():
     return solve
 
 
+def _eigh_solve(a: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+    """The LAPACK solve's contract on `np.linalg.eigh`, which leaves a as it
+    is; with pick = slice(None) it returns views of eigh's own arrays."""
+    w, v = np.linalg.eigh(a)
+    picked = pick(w)
+    return w[picked], v[:, picked]
+
+
+# n x n float64 arrays at the peak of fit plus one `at` and its sample, and
+# of a forge, under each solver. The LAPACK steps peak with the reduced M,
+# the tridiagonal eigenvectors and the n^2 workspace of dstedc (then
+# dormtr); fit at alpha = 1 also holds the eigenvectors, their scaled copy
+# and the product, and a forge at r = 0 or n one array. Peak RSS growth in
+# fresh processes, once a forge at alpha 0.5 had started BLAS (2 threads),
+# was 3.14-3.17 n^2 at n = 1000 and 2000 for `fit(...).at(0.1)` and for
+# `forge` at alpha 0.1 and 0.5, and 1.00-1.03 n^2 for `forge` at alpha 0
+# and 1. np.linalg.eigh holds the input, its own copy, the workspace and the
+# output at once (RSS 5.07-5.2 n^2).
+_LAPACK_DENSE_ARRAYS = 3.5
+_EIGH_DENSE_ARRAYS = 5
+
+
+def _eigensolver():
+    """The `solve(a, pick)` every decomposition runs, and the n x n arrays at
+    its pipeline's peak (above): numpy's LAPACK steps where they resolve,
+    else `np.linalg.eigh`."""
+    solve = _lapack_eigensolver()
+    if solve is None:
+        return _eigh_solve, _EIGH_DENSE_ARRAYS
+    return solve, _LAPACK_DENSE_ARRAYS
+
+
 def _modulus_order(values: np.ndarray) -> np.ndarray:
     """Indices that sort ascending eigenvalues by (|lambda| desc, value desc,
     index), the order of `EigenDecomposition`."""
@@ -217,12 +239,9 @@ def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
 
 def _eigendecompose(a: np.ndarray) -> EigenDecomposition:
     """eigendecompose of a Fortran-ordered float matrix that the caller built
-    symmetric and hands over: the LAPACK solver overwrites it."""
-    solve = _lapack_eigensolver()
-    if solve is None:
-        values, vectors = np.linalg.eigh(a)
-    else:
-        values, vectors = solve(a, lambda w: slice(None))
+    symmetric and hands over: the LAPACK solve overwrites it."""
+    solve, _ = _eigensolver()
+    values, vectors = solve(a, lambda w: slice(None))
     n = values.shape[0]
     order = _modulus_order(values)  # the solver returns ascending values
     if n:  # argmax refuses the empty axis of a 0 x 0 matrix
@@ -240,13 +259,12 @@ def _eigendecompose(a: np.ndarray) -> EigenDecomposition:
 def low_rank_approx(eig: EigenDecomposition, alpha: float) -> np.ndarray:
     """Sum of the ceil(alpha * n) leading (largest-modulus) eigenterms."""
     r = retained_rank(alpha, eig.order)
-    if r == 0:
-        return np.zeros((eig.order, eig.order))
     return _eigenterm_sum(eig.eigenvalues[:r], eig.eigenvectors[:, :r])
 
 
 def _eigenterm_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """V diag(values) V^T, made exactly symmetric."""
+    """V diag(values) V^T, made exactly symmetric; +0.0 everywhere for no
+    pairs."""
     product = (vectors * values) @ vectors.T
     _symmetrize(product)
     return product

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from graphforge import spectral
 from graphforge.baselines import (
     _DECREASE_EPS,
     _STALE_LIMIT,
@@ -53,6 +54,30 @@ def _time_limit(seconds: float):
 def pytest_runtest_protocol(item, nextitem):
     with _time_limit(TEST_TIME_LIMIT_S):
         yield
+
+
+def without_lapack_eigensolver(monkeypatch) -> None:
+    """Send every decomposition to the `np.linalg.eigh` fallback, as on a
+    numpy whose linalg module does not export LAPACK dsyevd's steps."""
+    monkeypatch.setattr(spectral, "_lapack_eigensolver", lambda: None)
+
+
+@pytest.fixture(params=["in_place", "eigh"])
+def solver(request, monkeypatch):
+    """Run a test under numpy's LAPACK steps and under the eigh fallback."""
+    if request.param == "eigh":
+        without_lapack_eigensolver(monkeypatch)
+    elif spectral._lapack_eigensolver() is None:
+        pytest.skip("this numpy does not export LAPACK dsyevd's steps")
+    return request.param
+
+
+def on_both_solvers(*values) -> list:
+    """Cases for `parametrize("solver, name", ..., indirect=["solver"])`:
+    each value under the LAPACK steps, with the value's own id, then under
+    the fallback, as `eigh-value`."""
+    return ([pytest.param("in_place", v, id=str(v)) for v in values]
+            + [pytest.param("eigh", v, id=f"eigh-{v}") for v in values])
 
 
 def complete_graph(n: int) -> Graph:

@@ -26,7 +26,7 @@ from graphforge.spectral import (
     retained_rank,
 )
 
-from conftest import complete_graph, disjoint_cliques
+from conftest import complete_graph, disjoint_cliques, on_both_solvers
 
 # the package's `forge` function hides the module of that name
 forge_mod = importlib.import_module("graphforge.forge")
@@ -314,14 +314,9 @@ def _forged(monkeypatch, graph, config):
     return out, seen[0]
 
 
-needs_partial_solver = pytest.mark.skipif(
-    forge_mod._lapack_eigensolver() is None,
-    reason="this numpy does not export LAPACK dlansy, dlascl, dsytrd, dstedc and dormtr")
-
-
-@needs_partial_solver
-@pytest.mark.parametrize("transformation", ["modularity", "adjacency"])
-def test_one_alpha_forge_agrees_with_fit(monkeypatch, transformation):
+@pytest.mark.parametrize("solver, transformation", on_both_solvers("modularity", "adjacency"),
+                         indirect=["solver"])
+def test_one_alpha_forge_agrees_with_fit(monkeypatch, solver, transformation):
     g = _planted_500()
     model = fit(g, transformation)
     for rule in ("truncate", "logistic", "scale"):
@@ -341,16 +336,18 @@ def test_one_alpha_forge_agrees_with_fit(monkeypatch, transformation):
             assert out == dist.sample(cfg.seed), (rule, alpha)
 
 
-@needs_partial_solver
 @pytest.mark.parametrize("transformation", ["modularity", "adjacency"])
-@pytest.mark.parametrize("rule", ["truncate", "logistic", "scale"])
-def test_one_alpha_forge_is_exact_where_it_solves_nothing(monkeypatch, transformation, rule):
+@pytest.mark.parametrize("solver, rule", on_both_solvers("truncate", "logistic", "scale"),
+                         indirect=["solver"])
+def test_one_alpha_forge_is_exact_where_it_solves_nothing(monkeypatch, solver, transformation,
+                                                          rule):
     g = _planted_500()
 
     def no_solve(*args):
         raise AssertionError("an eigensolve at alpha 0 or 1")
 
-    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: no_solve)
+    _, arrays = forge_mod._eigensolver()
+    monkeypatch.setattr(forge_mod, "_eigensolver", lambda: (no_solve, arrays))
     _, p = _forged(monkeypatch, g, ForgeConfig(alpha=1.0, rule=rule,
                                                transformation=transformation))
     assert np.array_equal(p, normalize(g.adjacency(), rule))
@@ -362,9 +359,8 @@ def test_one_alpha_forge_is_exact_where_it_solves_nothing(monkeypatch, transform
         assert np.array_equal(p, normalize(np.outer(k, k) / k.sum(), rule))
 
 
-@needs_partial_solver
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.75])
-def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, alpha):
+@pytest.mark.parametrize("solver, alpha", on_both_solvers(0.1, 0.5, 0.75), indirect=["solver"])
+def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, solver, alpha):
     # four disjoint K5: M's eigenvalues are 4 (3 times), -1 (16) and 0, so
     # r = 2, 10 and 15 each cut through a tie in modulus
     g = disjoint_cliques(5, 5, 5, 5)
@@ -373,7 +369,7 @@ def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, alpha):
     assert abs(model.eig.eigenvalues[r - 1]) - abs(model.eig.eigenvalues[r]) < 1e-12
     # dsyevd's eigenvalues, which `fit` orders, bit for bit
     order = _modulus_order(np.linalg.eigh(modularity_matrix(g))[0])
-    solve = forge_mod._lapack_eigensolver()
+    solve, arrays = forge_mod._eigensolver()
     picked = []
 
     def recording_solve(a, pick):
@@ -382,27 +378,15 @@ def test_ties_at_the_rank_cut_keep_what_fit_keeps(monkeypatch, alpha):
             return picked[-1]
         return solve(a, record)
 
-    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: recording_solve)
+    monkeypatch.setattr(forge_mod, "_eigensolver", lambda: (recording_solve, arrays))
     _, p = _forged(monkeypatch, g, ForgeConfig(alpha=alpha))
     expected = order[:r] if r <= g.n - r else order[r:]
     assert len(picked) == 1 and np.array_equal(picked[0], expected)
     np.testing.assert_allclose(p, model.at(alpha).probabilities, rtol=0, atol=1e-13)
 
 
-@needs_partial_solver
-def test_complete_graph_at_alpha_one_is_degenerate_under_scale():
+def test_complete_graph_at_alpha_one_is_degenerate_under_scale(solver):
     # P is A exactly, all ones off the diagonal; fit's rank-n product carries
     # rounding noise that gives the scale rule a range
     with pytest.raises(ValueError, match="scale rule degenerate"):
         forge(complete_graph(8), ForgeConfig(alpha=1.0, rule="scale"))
-
-
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_forge_without_the_partial_solver_samples_fit(monkeypatch, alpha):
-    g = _planted_500()
-    cfg = ForgeConfig(alpha=alpha, rule="logistic", seed=5)
-    dist = fit(g).at(alpha, "logistic")
-    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: None)
-    out, p = _forged(monkeypatch, g, cfg)
-    assert np.array_equal(p, dist.probabilities)
-    assert out == dist.sample(cfg.seed)

@@ -36,6 +36,7 @@ from conftest import (
     former_modularity_matrix,
     former_probabilities,
     former_sample_dyads,
+    without_lapack_eigensolver,
 )
 
 # the package exports the function `forge` under the module's name
@@ -84,20 +85,6 @@ MATRICES = {
 }
 
 
-def _without_in_place_solver(monkeypatch):
-    monkeypatch.setattr(spectral, "_lapack_eigensolver", lambda: None)
-    monkeypatch.setattr(forge_mod, "_lapack_eigensolver", lambda: None)
-
-
-@pytest.fixture(params=["in_place", "eigh"])
-def solver(request, monkeypatch):
-    if request.param == "eigh":
-        _without_in_place_solver(monkeypatch)
-    elif spectral._lapack_eigensolver() is None:
-        pytest.skip("this numpy does not export LAPACK dsyevd's steps")
-    return request.param
-
-
 @pytest.mark.parametrize("name", MATRICES)
 def test_eigendecompose_equals_eigh_reference(solver, name):
     m = MATRICES[name]()
@@ -142,7 +129,7 @@ def test_infinite_input_matches_numpy(solver):
 def test_forge_dense_bytes_follows_the_solver(monkeypatch):
     if spectral._lapack_eigensolver() is not None:
         assert forge_dense_bytes(1000) == 8 * 1000 * 1000 * 3.5
-    _without_in_place_solver(monkeypatch)
+    without_lapack_eigensolver(monkeypatch)
     assert forge_dense_bytes(1000) == 8 * 1000 * 1000 * 5
 
 

@@ -133,7 +133,7 @@ def test_retained_rank_boundaries():
 def test_low_rank_examples():
     eig = eigendecompose(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(low_rank_approx(eig, 0.5), np.diag([3.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(low_rank_approx(eig, 0.0), np.zeros((2, 2)), atol=1e-15)
+    assert np.array_equal(low_rank_approx(eig, 0.0), np.zeros((2, 2)))
     rng = np.random.default_rng(2)
     m = _random_symmetric(rng, 12)
     np.testing.assert_allclose(low_rank_approx(eigendecompose(m), 1.0), m, atol=1e-6)
