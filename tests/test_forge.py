@@ -26,7 +26,8 @@ from graphforge.spectral import (
     retained_rank,
 )
 
-from conftest import complete_graph, disjoint_cliques, on_both_solvers
+from conftest import (complete_graph, disjoint_cliques, on_both_solvers,
+                      without_lapack_eigensolver)
 
 # the package's `forge` function hides the module of that name
 forge_mod = importlib.import_module("graphforge.forge")
@@ -390,3 +391,17 @@ def test_complete_graph_at_alpha_one_is_degenerate_under_scale(solver):
     # rounding noise that gives the scale rule a range
     with pytest.raises(ValueError, match="scale rule degenerate"):
         forge(complete_graph(8), ForgeConfig(alpha=1.0, rule="scale"))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_forge_without_the_partial_solver_samples_fit(monkeypatch, alpha):
+    # fit runs on LAPACK's steps, forge on the eigh fallback, which solves only
+    # its one alpha rather than sampling fit(...).at(...), so P agrees to
+    # rounding and the sampled graph is the same
+    g = _planted_500()
+    cfg = ForgeConfig(alpha=alpha, rule="logistic", seed=5)
+    dist = fit(g).at(alpha, "logistic")
+    without_lapack_eigensolver(monkeypatch)
+    out, p = _forged(monkeypatch, g, cfg)
+    np.testing.assert_allclose(p, dist.probabilities, rtol=0, atol=1e-13)
+    assert out == dist.sample(cfg.seed)
